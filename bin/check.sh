@@ -58,9 +58,6 @@ keep_artifacts() {
     mkdir -p "$CHECK_ARTIFACTS"
     cp -f "$tmpdir"/*.json "$tmpdir"/*.jsonl "$tmpdir"/*.txt \
       "$CHECK_ARTIFACTS"/ 2>/dev/null || true
-    # The bench gates drop their records in the repo root; keep them with
-    # the rest of the run's telemetry when present.
-    cp -f BENCH_5.json BENCH_6.json "$CHECK_ARTIFACTS"/ 2>/dev/null || true
   fi
 }
 trap 'keep_artifacts; rm -rf "$tmpdir"' EXIT

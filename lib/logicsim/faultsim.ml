@@ -24,10 +24,6 @@ let popcount x =
   let x = x + (x lsr 32) in
   x land 0x7f
 
-type engine =
-  | Dense
-  | Event
-
 (* Session telemetry.  Every field except [toggles]/[wsa] is defined purely
    in terms of per-block work (see the repack-block scheme below), so the
    totals are identical at any [jobs] setting; the activity pair is counted
@@ -56,11 +52,9 @@ type group = {
   inj_nodes : int array;  (* nodes carrying an injection in this group *)
   inj1 : int array;  (* stuck-at-1 machine masks, parallel to inj_nodes *)
   inj0 : int array;
-  (* Event engine: [fzero]/[fone] are only meaningful at the [ndirty]
-     indices listed in [dirty] (membership mirrored in [dmark]); every
-     other flip-flop implicitly holds the good machine's state.  The dense
-     engine keeps all slots marked and ignores the list, so the accessors
-     below work unchanged for both. *)
+  (* [fzero]/[fone] are only meaningful at the [ndirty] indices listed in
+     [dirty] (membership mirrored in [dmark]); every other flip-flop
+     implicitly holds the good machine's state. *)
   dirty : int array;
   mutable ndirty : int;
   dmark : Bytes.t;
@@ -97,7 +91,6 @@ type scratch = {
 
 type t = {
   model : Model.t;
-  engine : engine;
   jobs : int;
   order : int array;
   level : int array;
@@ -209,7 +202,7 @@ let block_hook : (int -> unit) ref = ref (fun _ -> ())
 let set_block_hook f = block_hook := f
 let clear_block_hook () = block_hook := fun _ -> ()
 
-let create ?good_state ?faulty_states ?(engine = Event) ?(jobs = 1)
+let create ?good_state ?faulty_states ?(jobs = 1)
     ?(observe = false) ?(budget = Obs.Budget.unlimited) model ~fault_ids =
   let c = model.Model.circuit in
   let dffs = Circuit.dffs c in
@@ -290,7 +283,6 @@ let create ?good_state ?faulty_states ?(engine = Event) ?(jobs = 1)
   in
   {
     model;
-    engine;
     jobs = max 1 jobs;
     order = model.Model.levelize.Levelize.order;
     level = model.Model.levelize.Levelize.level;
@@ -353,184 +345,6 @@ let count_activity t gsim =
   t.stats.toggles <- t.stats.toggles + !toggles;
   t.stats.wsa <- t.stats.wsa + !wsa;
   Obs.Hist.observe t.frame_toggles !toggles
-
-(* ------------------------------------------------------- dense reference *)
-
-(* The original PROOFS-style kernel: every gate of every frame is evaluated
-   for every group, in levelized order.  Kept as the oracle the event-driven
-   engine is cross-validated against (see test/test_logicsim.ml), and for
-   benchmark comparisons. *)
-
-(* Force the injected machines' bits at node [nd]. *)
-let[@inline] apply_inj sc nd =
-  let m1 = sc.mo.(nd) and m0 = sc.mz.(nd) in
-  if m1 lor m0 <> 0 then begin
-    sc.wz.(nd) <- sc.wz.(nd) land lnot m1 lor m0;
-    sc.wo.(nd) <- sc.wo.(nd) land lnot m0 lor m1
-  end
-
-let eval_gate t sc nd =
-  let f = t.fanins.(nd) in
-  let wz = sc.wz and wo = sc.wo in
-  match t.kinds.(nd) with
-  | Gate.Buf ->
-    wz.(nd) <- wz.(f.(0));
-    wo.(nd) <- wo.(f.(0))
-  | Gate.Not ->
-    wz.(nd) <- wo.(f.(0));
-    wo.(nd) <- wz.(f.(0))
-  | Gate.And | Gate.Nand ->
-    let z = ref wz.(f.(0)) and o = ref wo.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      z := !z lor wz.(f.(i));
-      o := !o land wo.(f.(i))
-    done;
-    if t.kinds.(nd) = Gate.Nand then begin
-      wz.(nd) <- !o;
-      wo.(nd) <- !z
-    end
-    else begin
-      wz.(nd) <- !z;
-      wo.(nd) <- !o
-    end
-  | Gate.Or | Gate.Nor ->
-    let z = ref wz.(f.(0)) and o = ref wo.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      z := !z land wz.(f.(i));
-      o := !o lor wo.(f.(i))
-    done;
-    if t.kinds.(nd) = Gate.Nor then begin
-      wz.(nd) <- !o;
-      wo.(nd) <- !z
-    end
-    else begin
-      wz.(nd) <- !z;
-      wo.(nd) <- !o
-    end
-  | Gate.Xor | Gate.Xnor ->
-    let z = ref wz.(f.(0)) and o = ref wo.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      let z2 = wz.(f.(i)) and o2 = wo.(f.(i)) in
-      let no = !o land z2 lor (!z land o2) in
-      let nz = !z land z2 lor (!o land o2) in
-      z := nz;
-      o := no
-    done;
-    if t.kinds.(nd) = Gate.Xnor then begin
-      wz.(nd) <- !o;
-      wo.(nd) <- !z
-    end
-    else begin
-      wz.(nd) <- !z;
-      wo.(nd) <- !o
-    end
-  | Gate.Mux ->
-    let zs = wz.(f.(0)) and os = wo.(f.(0)) in
-    let za = wz.(f.(1)) and oa = wo.(f.(1)) in
-    let zb = wz.(f.(2)) and ob = wo.(f.(2)) in
-    wo.(nd) <- zs land oa lor (os land ob) lor (oa land ob);
-    wz.(nd) <- zs land za lor (os land zb) lor (za land zb)
-  | Gate.Input | Gate.Dff -> ()
-
-(* Simulate one frame for one group; [good_po] holds the frame's fault-free
-   output values.  Returns nothing; detections update session state. *)
-let sim_frame_dense t g vec good_po =
-  let sc = t.scratch in
-  sc.s_gframes <- sc.s_gframes + 1;
-  (* Sources. *)
-  Array.iteri
-    (fun i id ->
-      (match vec.(i) with
-       | Logic.One ->
-         sc.wo.(id) <- full;
-         sc.wz.(id) <- 0
-       | Logic.Zero ->
-         sc.wo.(id) <- 0;
-         sc.wz.(id) <- full
-       | Logic.X ->
-         sc.wo.(id) <- 0;
-         sc.wz.(id) <- 0);
-      apply_inj sc id)
-    t.inputs;
-  Array.iteri
-    (fun k id ->
-      sc.wz.(id) <- g.fzero.(k);
-      sc.wo.(id) <- g.fone.(k);
-      apply_inj sc id)
-    t.dffs;
-  (* Combinational evaluation. *)
-  Array.iter
-    (fun nd ->
-      eval_gate t sc nd;
-      apply_inj sc nd)
-    t.order;
-  (* Detection. *)
-  let det = ref 0 in
-  Array.iteri
-    (fun p id ->
-      match good_po.(p) with
-      | Logic.One -> det := !det lor sc.wz.(id)
-      | Logic.Zero -> det := !det lor sc.wo.(id)
-      | Logic.X -> ())
-    t.outputs;
-  let det = !det land g.active in
-  if det <> 0 then begin
-    sc.s_kills <- sc.s_kills + popcount det;
-    Array.iteri
-      (fun slot fid ->
-        if det land (1 lsl slot) <> 0 then begin
-          t.det_time.(fid) <- t.time;
-          t.detected <- t.detected + 1
-        end)
-      g.ids;
-    g.active <- g.active land lnot det
-  end;
-  (* Latch. *)
-  Array.iteri
-    (fun k d ->
-      g.fzero.(k) <- sc.wz.(d);
-      g.fone.(k) <- sc.wo.(d))
-    t.dff_fanin
-
-let advance_dense t view =
-  let nframes = View.length view in
-  let sc = t.scratch in
-  let limited = Obs.Budget.limited t.budget in
-  reset_sstats sc;
-  let good_pos =
-    Array.init nframes (fun i ->
-        Goodsim.step t.good (View.get view i);
-        if t.observe then count_activity t t.good;
-        Goodsim.po_values t.good)
-  in
-  let t0 = t.time in
-  Array.iter
-    (fun g ->
-      if g.active <> 0 then begin
-        Array.iteri
-          (fun i nd ->
-            sc.mo.(nd) <- g.inj1.(i);
-            sc.mz.(nd) <- g.inj0.(i))
-          g.inj_nodes;
-        t.time <- t0;
-        let fi = ref 0 in
-        while
-          g.active <> 0 && !fi < nframes
-          && ((not limited) || Obs.Budget.check t.budget)
-        do
-          sim_frame_dense t g (View.get view !fi) good_pos.(!fi);
-          t.time <- t.time + 1;
-          incr fi
-        done;
-        Array.iter
-          (fun nd ->
-            sc.mo.(nd) <- 0;
-            sc.mz.(nd) <- 0)
-          g.inj_nodes
-      end)
-    t.groups;
-  flush_sstats t.stats (read_sstats sc);
-  t.time <- t0 + nframes
 
 (* -------------------------------------------------- event-driven engine *)
 
@@ -642,8 +456,8 @@ let sim_frame_event t sc g time detections =
   let epoch = sc.epoch in
   (* Detected machines are dead weight: masking their bits out of every
      seed (their state snaps to the good value, their injections stop
-     firing) makes a group's event cone shrink as its faults retire —
-     the dense kernel only stops working once all 62 are gone. *)
+     firing) makes a group's event cone shrink as its faults retire,
+     long before all 62 are gone. *)
   let act = g.active in
   let ninj = Array.length g.inj_nodes in
   for i = 0 to ninj - 1 do
@@ -1061,9 +875,7 @@ let advance_event t view =
 let advance_view t view =
   if View.length view > 0 then begin
     t.stats.frames <- t.stats.frames + View.length view;
-    match t.engine with
-    | Dense -> advance_dense t view
-    | Event -> advance_event t view
+    advance_event t view
   end
 
 let advance t seq = advance_view t (View.of_seq seq)
@@ -1097,9 +909,8 @@ let undetected t =
 
 let good_state t = Goodsim.state t.good
 
-(* A flip-flop off the dirty list implicitly holds the good machine's state
-   (dense sessions keep every slot marked, so the guards below are no-ops
-   there). *)
+(* A flip-flop off the dirty list implicitly holds the good machine's
+   state. *)
 
 let faulty_state t fid =
   check_target t fid;
@@ -1328,30 +1139,30 @@ let snapshot_state snap fid =
         else Logic.X)
   end
 
-let of_snapshot ?engine ?jobs ?budget snap ~fault_ids =
-  create ?engine ?jobs ?budget ~good_state:snap.snap_good
+let of_snapshot ?jobs ?budget snap ~fault_ids =
+  create ?jobs ?budget ~good_state:snap.snap_good
     ~faulty_states:(snapshot_state snap) snap.snap_model ~fault_ids
 
 (* --------------------------------------------------------- conveniences *)
 
-let detection_times_view ?engine ?jobs ?budget model ~fault_ids view =
-  let s = create ?engine ?jobs ?budget model ~fault_ids in
+let detection_times_view ?jobs ?budget model ~fault_ids view =
+  let s = create ?jobs ?budget model ~fault_ids in
   advance_view s view;
   Array.map (fun fid -> s.det_time.(fid)) fault_ids
 
-let detection_times ?engine ?jobs ?budget model ~fault_ids seq =
-  detection_times_view ?engine ?jobs ?budget model ~fault_ids (View.of_seq seq)
+let detection_times ?jobs ?budget model ~fault_ids seq =
+  detection_times_view ?jobs ?budget model ~fault_ids (View.of_seq seq)
 
-let detects_single_view ?engine ?budget model ~fault ?start view =
+let detects_single_view ?budget model ~fault ?start view =
   let s =
     match start with
-    | None -> create ?engine ?budget model ~fault_ids:[| fault |]
+    | None -> create ?budget model ~fault_ids:[| fault |]
     | Some (good_state, faulty) ->
-      create ?engine ?budget ~good_state ~faulty_states:(fun _ -> faulty) model
+      create ?budget ~good_state ~faulty_states:(fun _ -> faulty) model
         ~fault_ids:[| fault |]
   in
   advance_view s view;
   detection_time s fault
 
-let detects_single ?engine ?budget model ~fault ?start seq =
-  detects_single_view ?engine ?budget model ~fault ?start (View.of_seq seq)
+let detects_single ?budget model ~fault ?start seq =
+  detects_single_view ?budget model ~fault ?start (View.of_seq seq)

@@ -7,21 +7,17 @@
     forcing the faulty node's output bits for the owning machine — branch
     faults were turned into node-output faults by {!Faultmodel.Model}.
 
-    Two engines share that representation:
-
-    - {!Event} (the default) is an event-driven (HOPE-style) selective-trace
-      kernel: the fault-free machine is simulated once per frame, a group's
-      words are treated as {e differences} against the good broadcast, and
-      only fanout cones reached from state divergences and injection sites
-      are re-evaluated through a per-level event queue built on
-      {!Netlist.Levelize} data.  Since groups are independent given the good
-      trace, sessions created with [jobs > 1] deal groups round-robin across
-      [Domain.spawn] workers, each with its own scratch arrays and good
-      machine replay; results (detection times, states, counts) are
-      bit-identical to the sequential schedule.
-    - {!Dense} is the original PROOFS-style kernel evaluating every gate of
-      every frame for every group.  It is the cross-validation oracle and
-      benchmark baseline.
+    The kernel is event-driven (HOPE-style) selective trace: the fault-free
+    machine is simulated once per frame, a group's words are treated as
+    {e differences} against the good broadcast, and only fanout cones
+    reached from state divergences and injection sites are re-evaluated
+    through a per-level event queue built on {!Netlist.Levelize} data.
+    Since groups are independent given the good trace, sessions created
+    with [jobs > 1] deal groups round-robin across [Domain.spawn] workers,
+    each with its own scratch arrays and good machine replay; results
+    (detection times, states, counts) are bit-identical to the sequential
+    schedule.  Its cross-validation oracle is a scalar single-fault
+    simulator that lives with the tests, outside this representation.
 
     A {!t} is a *session*: it holds the good machine, every group's faulty
     state, and per-fault first-detection times.  Sequences are fed
@@ -35,15 +31,11 @@
 
 type t
 
-type engine =
-  | Dense  (** evaluate every gate for every group and frame (oracle) *)
-  | Event  (** event-driven difference propagation (default) *)
-
 (** Session telemetry, accumulated across {!advance} calls.  The simulation
     kernel counters ([frames] consumed, [gframes] (group, frame) pairs
-    simulated, [events] gate evaluations in the event engine, [wakeups]
-    dirty flip-flops seeded, [kills] machines masked out on detection,
-    [repacks] group-repack operations) are defined per fixed repack block —
+    simulated, [events] gate evaluations, [wakeups] dirty flip-flops
+    seeded, [kills] machines masked out on detection, [repacks]
+    group-repack operations) are defined per fixed repack block —
     a jobs-independent partition of the group array — so their totals are
     bit-identical at any [jobs] setting.  [toggles] and [wsa] (weighted
     switching activity: each good-machine binary toggle weighted by
@@ -66,11 +58,10 @@ type stats = {
     [good_state] (default all-[X]) initializes the flip-flop state,
     indexed like [Circuit.dffs]; [faulty_states] (default: same as the good
     state) gives a per-fault initial state, enabling sessions that continue
-    from the middle of another simulation.  [engine] selects the kernel
-    (default {!Event}); [jobs] (default 1) bounds the number of domains the
-    event engine may schedule fault groups across; [observe] (default
-    [false]) additionally counts good-machine toggle / switching activity
-    into {!stats} and {!frame_toggles}.
+    from the middle of another simulation.  [jobs] (default 1) bounds the
+    number of domains the session may schedule fault groups across;
+    [observe] (default [false]) additionally counts good-machine toggle /
+    switching activity into {!stats} and {!frame_toggles}.
 
     [budget] (default {!Obs.Budget.unlimited}) is polled once per frame:
     when it trips mid-{!advance}, fault machines freeze at the current
@@ -80,7 +71,6 @@ type stats = {
 val create :
   ?good_state:Netlist.Logic.t array ->
   ?faulty_states:(int -> Netlist.Logic.t array) ->
-  ?engine:engine ->
   ?jobs:int ->
   ?observe:bool ->
   ?budget:Obs.Budget.t ->
@@ -177,7 +167,6 @@ val snapshot : ?arena:snapshot_arena -> ?fault_ids:int array -> t -> snapshot
     the snapshot's position, over a subset of the captured faults.
     @raise Invalid_argument if a fault was not captured. *)
 val of_snapshot :
-  ?engine:engine ->
   ?jobs:int ->
   ?budget:Obs.Budget.t ->
   snapshot ->
@@ -190,7 +179,6 @@ val of_snapshot :
     returns first-detection times aligned with [fault_ids] ([-1] when
     undetected). *)
 val detection_times :
-  ?engine:engine ->
   ?jobs:int ->
   ?budget:Obs.Budget.t ->
   Faultmodel.Model.t ->
@@ -199,7 +187,6 @@ val detection_times :
   int array
 
 val detection_times_view :
-  ?engine:engine ->
   ?jobs:int ->
   ?budget:Obs.Budget.t ->
   Faultmodel.Model.t ->
@@ -211,7 +198,6 @@ val detection_times_view :
     from a [(good_state, faulty_state)] pair, and returns its detection time
     within [seq]. *)
 val detects_single :
-  ?engine:engine ->
   ?budget:Obs.Budget.t ->
   Faultmodel.Model.t ->
   fault:int ->
@@ -220,7 +206,6 @@ val detects_single :
   int option
 
 val detects_single_view :
-  ?engine:engine ->
   ?budget:Obs.Budget.t ->
   Faultmodel.Model.t ->
   fault:int ->

@@ -37,14 +37,14 @@ let insert ?(chains = 1) c =
   Array.iter (fun i -> Circuit.Builder.add_input b (node_name i)) (Circuit.inputs c);
   Circuit.Builder.add_input b sel_name;
   Array.iter (fun n -> Circuit.Builder.add_input b n) inp_names;
-  (* Chains: contiguous chunks of the declaration-order flip-flop list. *)
+  (* Chains: contiguous chunks of the declaration-order flip-flop list.  A
+     chain starts early enough to leave one flip-flop for every later
+     chain, so ceiling-sized chunks never run out before the last chain. *)
   let ffs = Circuit.dffs c in
   let chunk = (nff + chains - 1) / chains in
+  let start j = min (j * chunk) (nff - chains + j) in
   let chain_ffs =
-    Array.init chains (fun j ->
-        let lo = j * chunk in
-        let hi = min nff (lo + chunk) in
-        Array.sub ffs lo (hi - lo))
+    Array.init chains (fun j -> Array.sub ffs (start j) (start (j + 1) - start j))
   in
   let mux_name = Hashtbl.create nff in
   Array.iteri

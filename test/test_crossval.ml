@@ -2,9 +2,10 @@
 
    Independent implementations are checked against each other on inputs
    neither was tuned for: the scalar reference evaluator vs the levelized
-   simulator, the parallel fault simulator vs single-fault runs, scan-mode
-   equivalence, and — semantically — fault collapsing: two faults in one
-   equivalence class must produce identical machines. *)
+   simulator, the packed fault simulator vs scalar single-fault runs and vs
+   its own single-fault sessions, scan-mode equivalence, and —
+   semantically — fault collapsing: two faults in one equivalence class
+   must produce identical machines. *)
 
 module C = Netlist.Circuit
 module G = Netlist.Gate
@@ -18,7 +19,8 @@ let gen_circuit seed =
     ~seed:(Int64.of_int seed) ()
 
 (* Scalar simulation with an optional forced node: the reference machine
-   for everything below. *)
+   for everything below.  Returns the output matrix and the final
+   flip-flop state. *)
 let forced_response ?force c seq =
   let lv = Netlist.Levelize.of_circuit c in
   let values = Array.make (C.node_count c) L.X in
@@ -30,26 +32,49 @@ let forced_response ?force c seq =
     | Some (fn, fv) when fn = n -> values.(n) <- fv
     | Some _ | None -> ()
   in
-  Array.map
-    (fun vec ->
-      Array.iteri
-        (fun i id ->
-          values.(id) <- vec.(i);
-          apply id)
-        (C.inputs c);
-      Array.iteri
-        (fun k id ->
-          values.(id) <- state.(k);
-          apply id)
-        dffs;
-      Array.iter
-        (fun nd ->
-          values.(nd) <- Logicsim.Goodsim.eval_node c values nd;
-          apply nd)
-        lv.Netlist.Levelize.order;
-      Array.iteri (fun k d -> state.(k) <- values.(d)) dff_fanin;
-      Array.map (fun o -> values.(o)) (C.outputs c))
-    seq
+  let outs =
+    Array.map
+      (fun vec ->
+        Array.iteri
+          (fun i id ->
+            values.(id) <- vec.(i);
+            apply id)
+          (C.inputs c);
+        Array.iteri
+          (fun k id ->
+            values.(id) <- state.(k);
+            apply id)
+          dffs;
+        Array.iter
+          (fun nd ->
+            values.(nd) <- Logicsim.Goodsim.eval_node c values nd;
+            apply nd)
+          lv.Netlist.Levelize.order;
+        Array.iteri (fun k d -> state.(k) <- values.(d)) dff_fanin;
+        Array.map (fun o -> values.(o)) (C.outputs c))
+      seq
+  in
+  outs, state
+
+(* One fault of [m] under the scalar oracle: the forced node and value come
+   straight from the model, never through the packed injection tables. *)
+let fault_response m fid seq =
+  forced_response
+    ~force:(m.Model.fault_node.(fid), L.of_bool m.Model.fault_stuck.(fid))
+    m.Model.circuit seq
+
+let strict good faulty =
+  L.is_binary good && L.is_binary faulty && not (L.equal good faulty)
+
+(* First strict detection frame (some output binary in the good machine and
+   the opposite binary in the faulty one), -1 when none. *)
+let first_detection good faulty =
+  let rec go i =
+    if i = Array.length good then -1
+    else if Array.exists2 strict good.(i) faulty.(i) then i
+    else go (i + 1)
+  in
+  go 0
 
 let same_matrix a b =
   Array.length a = Array.length b
@@ -66,7 +91,7 @@ let prop_goodsim_matches_reference =
       let rng = Prng.Rng.create (Int64.of_int (seed + 1)) in
       let seq = Vectors.random_seq rng ~width:(C.input_count c) ~length:30 in
       let sim = Logicsim.Goodsim.create c in
-      same_matrix (Logicsim.Goodsim.run sim seq) (forced_response c seq))
+      same_matrix (Logicsim.Goodsim.run sim seq) (fst (forced_response c seq)))
 
 let prop_scan_functional_equivalence =
   QCheck2.Test.make
@@ -90,8 +115,8 @@ let prop_scan_functional_equivalence =
             w)
           seq
       in
-      let oc = forced_response c seq in
-      let os = forced_response cs widened in
+      let oc, _ = forced_response c seq in
+      let os, _ = forced_response cs widened in
       (* The original outputs come first in C_scan's output list. *)
       Array.for_all2
         (fun r1 r2 ->
@@ -123,14 +148,15 @@ let prop_parallel_equals_serial =
           par.(fid) = ser)
         ids)
 
-let prop_event_equals_dense =
-  (* The event-driven engine against the dense PROOFS-style oracle:
-     identical detection times for every fault, and identical surviving
-     machine state (flip-flop words and strict effects) for every
+let prop_event_equals_scalar =
+  (* The event-driven kernel against the scalar single-fault oracle, which
+     shares neither the 62-way packing nor the injection tables: identical
+     first detection frames for every fault, and identical surviving
+     machine state (flip-flop values and strict effects) for every
      undetected fault.  The sequence ends in a scan-shift suffix and the
-     event session advances in two chunks, covering continuation and
-     mid-run repacking. *)
-  QCheck2.Test.make ~name:"event engine = dense oracle (random circuits)"
+     session advances in two chunks, covering continuation and mid-run
+     repacking. *)
+  QCheck2.Test.make ~name:"faultsim = scalar oracle (random circuits)"
     ~count:10
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
@@ -144,17 +170,23 @@ let prop_event_equals_dense =
       Array.iteri (fun i v -> if i >= 30 then v.(sel) <- L.One) seq;
       let ids = Array.init (Model.fault_count m) Fun.id in
       let module FS = Logicsim.Faultsim in
-      let dense = FS.create ~engine:FS.Dense m ~fault_ids:ids in
-      let event = FS.create ~engine:FS.Event m ~fault_ids:ids in
-      FS.advance dense seq;
+      let event = FS.create m ~fault_ids:ids in
       FS.advance event (Array.sub seq 0 17);
       FS.advance event (Array.sub seq 17 23);
+      let good, good_state = forced_response m.Model.circuit seq in
       Array.for_all
         (fun fid ->
-          FS.detection_time dense fid = FS.detection_time event fid
-          && (FS.detection_time dense fid <> None
-             || FS.faulty_state dense fid = FS.faulty_state event fid
-                && FS.ff_effects dense fid = FS.ff_effects event fid))
+          let faulty, state = fault_response m fid seq in
+          let expected = first_detection good faulty in
+          match FS.detection_time event fid with
+          | Some t -> t = expected
+          | None ->
+            expected = -1
+            && FS.faulty_state event fid = state
+            && FS.ff_effects event fid
+               = List.filter
+                   (fun k -> strict good_state.(k) state.(k))
+                   (List.init (Array.length state) Fun.id))
         ids)
 
 let prop_jobs_deterministic =
@@ -206,8 +238,9 @@ let prop_collapse_is_semantic =
           | first :: (_ :: _ as rest) when !ok ->
             let resp (f : F.t) =
               let node = Model.node_for_site m f.F.site in
-              forced_response ~force:(node, L.of_bool f.F.stuck)
-                m.Model.circuit seq
+              fst
+                (forced_response ~force:(node, L.of_bool f.F.stuck)
+                   m.Model.circuit seq)
             in
             let r0 = resp first in
             List.iter (fun f -> if not (same_matrix r0 (resp f)) then ok := false) rest
@@ -327,14 +360,42 @@ let prop_restoration_subset_random_circuits =
       Array.length restored <= Array.length seq
       && Compaction.Target.detected_by m restored targets)
 
+(* --------------------------------------------------------- certificates *)
+
+let test_s27_certificate () =
+  (* Every collapsed s27 fault's reported detection frame, re-derived by
+     the scalar oracle over a fixed sequence that ends in a scan shift. *)
+  let scan = Scanins.Scan.insert (Circuits.Iscas.s27 ()) in
+  let m = Model.build scan.Scanins.Scan.circuit in
+  let rng = Prng.Rng.create 27L in
+  let seq =
+    Vectors.random_seq rng ~width:(C.input_count m.Model.circuit) ~length:64
+  in
+  let sel = Scanins.Scan.sel_position scan in
+  Array.iteri (fun i v -> if i >= 48 then v.(sel) <- L.One) seq;
+  let ids = Array.init (Model.fault_count m) Fun.id in
+  let good, _ = forced_response m.Model.circuit seq in
+  let oracle =
+    Array.map
+      (fun fid -> first_detection good (fst (fault_response m fid seq)))
+      ids
+  in
+  Alcotest.(check bool) "oracle detects faults" true
+    (Array.exists (fun t -> t >= 0) oracle);
+  Alcotest.(check (array int)) "detection frames" oracle
+    (Logicsim.Faultsim.detection_times m ~fault_ids:ids seq)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "crossval"
     [
       ( "simulation",
         [ q prop_goodsim_matches_reference; q prop_scan_functional_equivalence;
-          q prop_parallel_equals_serial; q prop_event_equals_dense;
+          q prop_parallel_equals_serial; q prop_event_equals_scalar;
           q prop_jobs_deterministic ] );
+      ( "oracle",
+        [ Alcotest.test_case "s27 detection certificate" `Quick
+            test_s27_certificate ] );
       ( "faults", [ q prop_collapse_is_semantic ] );
       ( "flow", [ q prop_flow_targets_hold ] );
       ( "telemetry",

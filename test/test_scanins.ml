@@ -140,6 +140,14 @@ let test_multichain_structure () =
   Alcotest.(check int) "nsv = longest chain" 5 (Scan.nsv s);
   Alcotest.(check int) "inputs +1+3" (3 + 1 + 3) (C.input_count s.Scan.circuit)
 
+let test_multichain_no_empty_chain () =
+  (* 5 flip-flops over 4 chains: ceiling chunks of 2 would leave the last
+     chain empty. *)
+  let c = Circuits.Catalog.circuit "b01" in
+  let s = Scan.insert ~chains:4 c in
+  let lens = Array.map Chain.length s.Scan.chains in
+  Alcotest.(check (array int)) "chain lengths" [| 2; 1; 1; 1 |] lens
+
 let test_chain_positions () =
   let s = s27_scan () in
   let ch = s.Scan.chains.(0) in
@@ -209,6 +217,8 @@ let () =
       ( "multichain",
         [
           Alcotest.test_case "structure" `Quick test_multichain_structure;
+          Alcotest.test_case "no empty chain" `Quick
+            test_multichain_no_empty_chain;
           Alcotest.test_case "positions" `Quick test_chain_positions;
         ] );
       ( "scan_test",
