@@ -45,12 +45,18 @@ fail() {
 command -v jq > /dev/null 2>&1 \
   || fail "jq is required (apt-get install jq / brew install jq)"
 
-# QCheck property tests draw a fresh random seed per run unless pinned;
-# an unlucky draw can send a generator into a pathological case and hang
-# the gate for an hour.  Pin it (overridable) so the gate is reproducible
-# — the properties still explore new seeds in interactive `dune runtest`.
+# QCheck property tests draw a fresh random seed per run unless pinned.
+# Pin it (overridable) so the gate is reproducible — the properties still
+# explore new seeds in interactive `dune runtest`.
 : "${QCHECK_SEED:=1}"
 export QCHECK_SEED
+
+# The jobs-invariant counters of a metrics document: every counter except
+# the speculative-dispatch and adaptive-width accounting, which by design
+# reflect --compact-jobs and the dispatch schedule.
+jobs_invariant_counters='.counters | with_entries(select(.key
+  | startswith("compaction.speculative.")
+    or startswith("compaction.adaptive.") | not))'
 
 tmpdir=$(mktemp -d)
 keep_artifacts() {
@@ -404,17 +410,11 @@ dune exec bin/scanatpg.exe -- run s27 \
   2>/dev/null || fail "uninterrupted run exited non-zero"
 diff "$tmpdir/resumed.out" "$tmpdir/uninterrupted.out" \
   || fail "resumed stdout differs from uninterrupted run"
-# Every counter except the speculative-dispatch and adaptive-width
-# accounting (which by design reflect --compact-jobs and the dispatch
-# schedule) must match bit for bit.
-jq -S '.counters | with_entries(select(.key
-         | startswith("compaction.speculative.")
-           or startswith("compaction.adaptive.") | not))' \
+# Every jobs-invariant counter must match bit for bit.
+jq -S "$jobs_invariant_counters" \
   "$tmpdir/resumed.json" > "$tmpdir/resumed.counters" \
   || fail "jq on resumed metrics"
-jq -S '.counters | with_entries(select(.key
-         | startswith("compaction.speculative.")
-           or startswith("compaction.adaptive.") | not))' \
+jq -S "$jobs_invariant_counters" \
   "$tmpdir/uninterrupted.json" > "$tmpdir/uninterrupted.counters" \
   || fail "jq on uninterrupted metrics"
 diff "$tmpdir/resumed.counters" "$tmpdir/uninterrupted.counters" \
@@ -434,14 +434,10 @@ dune exec bin/scanatpg.exe -- compact s298 "$tmpdir/seq.txt" --compact-jobs 3 \
   > "$tmpdir/compact3.out" 2>&1 || fail "compact at --compact-jobs 3"
 diff "$tmpdir/compact1.txt" "$tmpdir/compact3.txt" \
   || fail "compacted sequences differ between --compact-jobs 1 and 3"
-jq -S '.counters | with_entries(select(.key
-         | startswith("compaction.speculative.")
-           or startswith("compaction.adaptive.") | not))' \
+jq -S "$jobs_invariant_counters" \
   "$tmpdir/compact1.json" > "$tmpdir/compact1.counters" \
   || fail "jq on compact-jobs-1 metrics"
-jq -S '.counters | with_entries(select(.key
-         | startswith("compaction.speculative.")
-           or startswith("compaction.adaptive.") | not))' \
+jq -S "$jobs_invariant_counters" \
   "$tmpdir/compact3.json" > "$tmpdir/compact3.counters" \
   || fail "jq on compact-jobs-3 metrics"
 diff "$tmpdir/compact1.counters" "$tmpdir/compact3.counters" \

@@ -79,15 +79,6 @@ let compact_jobs_arg =
               waves. Results are identical at any value; see DESIGN.md \
               \xc2\xa710.")
 
-let no_adaptive_arg =
-  Arg.(
-    value & flag
-    & info [ "no-adaptive-width" ]
-        ~doc:"Disable the adaptive speculation-width controller: omission \
-              rounds dispatch the full $(b,--compact-jobs) width every \
-              round instead of tracking the observed acceptance rate. \
-              Results are identical either way; see DESIGN.md \xc2\xa714.")
-
 let metrics_arg =
   Arg.(
     value & opt (some string) None
@@ -136,42 +127,17 @@ let read_sequence path =
        with End_of_file -> ());
       Array.of_list (List.rev !acc))
 
-let setup_scan ~chains ~seed ~jobs ?(compact_jobs = 1) ?(adaptive = true)
-    ?(observe = false) circuit =
+let setup_scan ~chains ~seed ~jobs ?(compact_jobs = 1) ?(observe = false)
+    circuit =
   let scan = Scanins.Scan.insert ~chains circuit in
   let model = Faultmodel.Model.build scan.Scanins.Scan.circuit in
   let cfg =
-    Core.Config.with_compact_adaptive adaptive
-      (Core.Config.with_compact_jobs compact_jobs
-         (Core.Config.with_sim_jobs jobs
-            { (Core.Config.for_circuit circuit) with
-              Core.Config.chains; seed; observe }))
+    Core.Config.with_compact_jobs compact_jobs
+      (Core.Config.with_sim_jobs jobs
+         { (Core.Config.for_circuit circuit) with
+           Core.Config.chains; seed; observe })
   in
   scan, model, cfg
-
-let compact_seq cfg model seq targets ~metrics ~trace =
-  let spec = Compaction.Spec.make () in
-  let adaptive = Compaction.Spec.make_adaptive () in
-  let restored, targets_r =
-    Obs.Metrics.timed metrics ~trace "restore" (fun () ->
-        let restored =
-          Compaction.Restoration.run ~jobs:cfg.Core.Config.compact_jobs ~spec
-            ~adaptive model seq targets
-        in
-        let targets_r =
-          Compaction.Target.compute model restored
-            ~fault_ids:targets.Compaction.Target.fault_ids
-        in
-        restored, targets_r)
-  in
-  let result =
-    Obs.Metrics.timed metrics ~trace "omit" (fun () ->
-        Compaction.Omission.run ~metrics ~trace ~spec ~adaptive model restored
-          targets_r cfg.Core.Config.omission)
-  in
-  Compaction.Spec.record spec (Obs.Metrics.counters metrics);
-  Compaction.Spec.record_adaptive adaptive (Obs.Metrics.counters metrics);
-  result
 
 let omission_summary (o : Compaction.Omission.stats) =
   Printf.sprintf "omission: %d trials, %d accepted, %d rejected, %d vectors removed in %d passes"
@@ -279,13 +245,12 @@ let generate_cmd =
           ~doc:"Also count good-machine toggle / switching activity \
                 (reported via --metrics).")
   in
-  let run spec scale seed chains jobs compact_jobs no_adaptive no_compact out
-      tester observe metrics_path trace_path trace_format =
+  let run spec scale seed chains jobs compact_jobs no_compact out tester
+      observe metrics_path trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
         let c = load_circuit ~scale spec in
         let scan, model, cfg =
-          setup_scan ~chains ~seed ~jobs ~compact_jobs
-            ~adaptive:(not no_adaptive) ~observe c
+          setup_scan ~chains ~seed ~jobs ~compact_jobs ~observe c
         in
         let sk = Atpg.Scan_knowledge.create scan in
         let flow =
@@ -306,8 +271,9 @@ let generate_cmd =
         let final =
           if no_compact then seq
           else begin
-            let compacted, _, ostats =
-              compact_seq cfg model seq flow.Core.Flow.targets ~metrics ~trace
+            let _, compacted, ostats =
+              Core.Pipeline.compact ~trace ~metrics cfg model seq
+                flow.Core.Flow.targets
             in
             Printf.printf "compacted: %d vectors (%d scan)\n"
               (Array.length compacted)
@@ -336,7 +302,7 @@ let generate_cmd =
        ~doc:"Generate (and compact) a unified test sequence for a circuit.")
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
-      $ compact_jobs_arg $ no_adaptive_arg $ no_compact $ out_arg $ tester_arg
+      $ compact_jobs_arg $ no_compact $ out_arg $ tester_arg
       $ observe $ metrics_arg $ trace_arg $ trace_format_arg)
 
 (* ------------------------------------------------------------- compact *)
@@ -348,13 +314,12 @@ let compact_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"SEQFILE" ~doc:"Sequence file (one 01x vector per line).")
   in
-  let run spec scale seed chains jobs compact_jobs no_adaptive seqfile out
-      metrics_path trace_path trace_format =
+  let run spec scale seed chains jobs compact_jobs seqfile out metrics_path
+      trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
         let c = load_circuit ~scale spec in
         let scan, model, cfg =
-          setup_scan ~chains ~seed ~jobs ~compact_jobs
-            ~adaptive:(not no_adaptive) c
+          setup_scan ~chains ~seed ~jobs ~compact_jobs c
         in
         let seq = read_sequence seqfile in
         let nf = Faultmodel.Model.fault_count model in
@@ -365,7 +330,9 @@ let compact_cmd =
         in
         Printf.printf "sequence detects %d/%d faults\n"
           (Compaction.Target.count targets) nf;
-        let compacted, _, ostats = compact_seq cfg model seq targets ~metrics ~trace in
+        let _, compacted, ostats =
+          Core.Pipeline.compact ~trace ~metrics cfg model seq targets
+        in
         Printf.printf "%d -> %d vectors (scan %d -> %d)\n" (Array.length seq)
           (Array.length compacted)
           (Core.Pipeline.scan_count scan seq)
@@ -383,7 +350,7 @@ let compact_cmd =
        ~doc:"Statically compact a test sequence (restoration, then omission).")
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
-      $ compact_jobs_arg $ no_adaptive_arg $ seq_arg $ out_arg $ metrics_arg
+      $ compact_jobs_arg $ seq_arg $ out_arg $ metrics_arg
       $ trace_arg $ trace_format_arg)
 
 (* --------------------------------------------------------------- table *)
@@ -417,19 +384,17 @@ let table_cmd =
           ~doc:"Also count good-machine toggle / switching activity \
                 (reported via --metrics).")
   in
-  let run which names scale csv jobs compact_jobs no_adaptive verbose observe
-      metrics_path trace_path trace_format =
+  let run which names scale csv jobs compact_jobs verbose observe metrics_path
+      trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
         let results =
           List.map
             (fun n ->
               let c = Circuits.Catalog.circuit ~scale n in
               let config =
-                Core.Config.with_compact_adaptive (not no_adaptive)
-                  (Core.Config.with_compact_jobs compact_jobs
-                     (Core.Config.with_sim_jobs jobs
-                        { (Core.Config.for_circuit c) with
-                          Core.Config.observe }))
+                Core.Config.with_compact_jobs compact_jobs
+                  (Core.Config.with_sim_jobs jobs
+                     { (Core.Config.for_circuit c) with Core.Config.observe })
               in
               Core.Pipeline.run ~scale ~config ~metrics ~trace n)
             names
@@ -461,7 +426,7 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Regenerate rows of the paper's Tables 5-7.")
     Term.(
       const run $ which_arg $ circuits_arg $ scale_arg $ csv_arg $ jobs_arg
-      $ compact_jobs_arg $ no_adaptive_arg $ verbose_arg $ observe_arg
+      $ compact_jobs_arg $ verbose_arg $ observe_arg
       $ metrics_arg $ trace_arg $ trace_format_arg)
 
 (* ----------------------------------------------------------------- run *)
@@ -524,17 +489,15 @@ let run_cmd =
           ~doc:"Also count good-machine toggle / switching activity \
                 (reported via --metrics).")
   in
-  let run spec scale seed chains jobs compact_jobs no_adaptive observe deadline
-      backtracks checkpoint resume every halt_after metrics_path trace_path
-      trace_format =
+  let run spec scale seed chains jobs compact_jobs observe deadline backtracks
+      checkpoint resume every halt_after metrics_path trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
         let c = Circuits.Catalog.circuit ~scale spec in
         let config =
-          Core.Config.with_compact_adaptive (not no_adaptive)
-            (Core.Config.with_compact_jobs compact_jobs
-               (Core.Config.with_sim_jobs jobs
-                  { (Core.Config.for_circuit c) with
-                    Core.Config.chains; seed; observe }))
+          Core.Config.with_compact_jobs compact_jobs
+            (Core.Config.with_sim_jobs jobs
+               { (Core.Config.for_circuit c) with
+                 Core.Config.chains; seed; observe })
         in
         let budget =
           match deadline, backtracks with
@@ -585,7 +548,7 @@ let run_cmd =
              deadline, checkpointing and resume (see DESIGN.md, Resilience).")
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
-      $ compact_jobs_arg $ no_adaptive_arg $ observe_arg $ deadline_arg
+      $ compact_jobs_arg $ observe_arg $ deadline_arg
       $ backtracks_arg $ checkpoint_arg $ resume_arg $ every_arg $ halt_arg
       $ metrics_arg $ trace_arg $ trace_format_arg)
 
@@ -690,16 +653,6 @@ let serve_cmd =
           ~doc:"Worker domains executing requests concurrently. Response \
                 payloads are identical at any value; see DESIGN.md \xc2\xa711.")
   in
-  let trial_pool_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "trial-pool" ] ~docv:"N"
-          ~doc:"Share one daemon-wide pool of $(docv) domains across every \
-                request's speculative compaction trials instead of spawning \
-                per-round islands. Response payloads are identical at any \
-                value; 0 (the default) keeps per-round spawning. See \
-                DESIGN.md \xc2\xa714.")
-  in
   let queue_arg =
     Arg.(
       value & opt int 16
@@ -782,14 +735,13 @@ let serve_cmd =
                 #max-fires. Reconfigure at runtime with the $(b,chaos) op; \
                 $(b,off) clears. See DESIGN.md \xc2\xa713.")
   in
-  let run socket tcp jobs trial_pool queue cache scale access grace
+  let run socket tcp jobs queue cache scale access grace
       metrics_path trace_path trace_format slow_ms idle read_deadline
       max_inflight chaos quiet =
     Server.Daemon.run
       {
         Server.Daemon.addr = parse_addr socket tcp;
         jobs;
-        trial_pool = max 0 trial_pool;
         queue_depth = queue;
         cache_capacity = cache;
         default_scale = scale;
@@ -823,8 +775,7 @@ let serve_cmd =
              admission control, graceful drain and per-request tracing \
              (DESIGN.md \xc2\xa711-\xc2\xa712).")
     Term.(
-      const run $ socket_arg $ tcp_arg $ server_jobs_arg $ trial_pool_arg
-      $ queue_arg $ cache_arg $ scale_arg $ access_arg $ grace_arg
+      const run $ socket_arg $ tcp_arg $ server_jobs_arg $ queue_arg $ cache_arg $ scale_arg $ access_arg $ grace_arg
       $ metrics_arg $ trace_arg $ trace_format_arg $ slow_arg $ idle_arg
       $ read_deadline_arg $ max_inflight_arg $ chaos_arg $ quiet_arg)
 
@@ -855,12 +806,6 @@ let router_cmd =
       & info [ "server-jobs" ] ~docv:"N"
           ~doc:"Worker domains per shard (passed through to each shard's \
                 $(b,serve)).")
-  in
-  let trial_pool_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "trial-pool" ] ~docv:"N"
-          ~doc:"Per-shard speculative-trial pool size (passed through).")
   in
   let cache_arg =
     Arg.(
@@ -899,7 +844,7 @@ let router_cmd =
       value & flag
       & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle messages on stderr.")
   in
-  let run socket tcp shards result_cache jobs trial_pool cache_capacity grace
+  let run socket tcp shards result_cache jobs cache_capacity grace
       chaos shard_chaos metrics_path quiet =
     let addr = parse_addr socket tcp in
     (* Each shard is this very binary re-exec'ed as `serve` on its own
@@ -910,7 +855,6 @@ let router_cmd =
       let base =
         [ exe; "serve"; "--socket"; shard_socket; "--quiet";
           "--server-jobs"; string_of_int jobs;
-          "--trial-pool"; string_of_int trial_pool;
           "--cache-capacity"; string_of_int cache_capacity ]
       in
       let argv =
@@ -949,7 +893,7 @@ let router_cmd =
              $(b,stats) and $(b,top) point at it unchanged.")
     Term.(
       const run $ socket_arg $ tcp_arg $ shards_arg $ result_cache_arg
-      $ shard_jobs_arg $ trial_pool_arg $ cache_arg $ grace_arg $ chaos_arg
+      $ shard_jobs_arg $ cache_arg $ grace_arg $ chaos_arg
       $ shard_chaos_arg $ metrics_arg $ quiet_arg)
 
 (* --------------------------------------------------------------- batch *)

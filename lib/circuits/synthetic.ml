@@ -93,6 +93,16 @@ let generate ?(style = default_style) ~name ~pis ~ffs ~gates ~seed () =
   for gi = 0 to gates - 1 do
     let kind = pick_kind style rng in
     let n = fanin_count style rng kind in
+    (* Distinct fanins need that many signals: with a single source the
+       first gate becomes an inverter, and a 3-input pick over two
+       signals narrows to 2.  Draws are unchanged whenever enough signals
+       exist. *)
+    let kind, n =
+      match Dyn.length avail with
+      | 1 when n > 1 -> Gate.Not, 1
+      | len when n > len -> kind, len
+      | _ -> kind, n
+    in
     let fanins = ref [] in
     let tries = ref 0 in
     while List.length !fanins < n do

@@ -8,12 +8,10 @@ type config = {
   window : int;
   horizon : int;
   jobs : int;
-  adaptive : bool;
 }
 
 let default_config =
-  { max_passes = 5; max_trials = None; window = 48; horizon = 128; jobs = 1;
-    adaptive = true }
+  { max_passes = 5; max_trials = None; window = 48; horizon = 128; jobs = 1 }
 
 type stats = {
   trials : int;
@@ -54,10 +52,10 @@ type stats = {
    The controller exploits that freedom: an acceptance at slot [j]
    proves the trials beyond [j] were wasted, so the width shrinks to
    [j + 1]; a streak of fully-rejected rounds means speculation is
-   paying again, so it doubles back up to [config.jobs].  Turning the
-   controller off (or varying [jobs]) changes only dispatch-schedule
-   telemetry ([compaction.speculative.*] / [compaction.adaptive.*]). *)
-let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
+   paying again, so it doubles back up to [config.jobs].  Varying [jobs]
+   changes only dispatch-schedule telemetry ([compaction.speculative.*] /
+   [compaction.adaptive.*]). *)
+let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
     seq det trial_budget obudget =
   let n = Target.count targets in
   let seq = ref seq in
@@ -92,10 +90,7 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
       | Some b -> max 1 (min w !b)
       | None -> w
     in
-    let width =
-      if config.adaptive then max 1 (min width_full !cur_width)
-      else width_full
-    in
+    let width = max 1 (min width_full !cur_width) in
     adaptive.Spec.trials_saved <-
       adaptive.Spec.trials_saved + (width_full - width);
     (* One snapshot serves every trial of the round: each trial's fault
@@ -188,7 +183,7 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
       in
       (subset, c, accept)
     in
-    let results = Spec.map ?pool ~jobs:width width trial in
+    let results = Spec.map ~jobs:width width trial in
     if width > 1 then
       spec.Spec.dispatched <- spec.Spec.dispatched + (width - 1);
     (* Commit left to right; the first acceptance wins the round. *)
@@ -224,7 +219,7 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
       (* An acceptance at slot [j] wasted the [width - j - 1] trials
          beyond it: narrow the next rounds to what this one used. *)
       reject_streak := 0;
-      if config.adaptive && !j + 1 < width then begin
+      if !j + 1 < width then begin
         cur_width := !j + 1;
         adaptive.Spec.shrinks <- adaptive.Spec.shrinks + 1
       end
@@ -236,8 +231,7 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
       (* Every speculative trial was consumed; two such rounds in a row
          mean speculation pays again, so widen back toward the cap. *)
       incr reject_streak;
-      if config.adaptive && !reject_streak >= 2 && !cur_width < config.jobs
-      then begin
+      if !reject_streak >= 2 && !cur_width < config.jobs then begin
         cur_width := min config.jobs (2 * !cur_width);
         adaptive.Spec.widens <- adaptive.Spec.widens + 1;
         reject_streak := 0
@@ -248,8 +242,8 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
     adaptive.Spec.arena_reuses + Faultsim.arena_hits arena;
   !seq, !changed, (!trials, !accepted, !removed)
 
-let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive ?pool
-    model seq (targets : Target.t) config =
+let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive model
+    seq (targets : Target.t) config =
   let spec =
     match spec with
     | Some s -> s
@@ -298,7 +292,7 @@ let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive ?pool
         in
         let seq', changed, (t, a, r) =
           timed (fun () ->
-              one_pass ?pool model targets config ~chunk ~spec ~adaptive !seq
+              one_pass model targets config ~chunk ~spec ~adaptive !seq
                 det trial_budget budget)
         in
         seq := seq';

@@ -22,8 +22,7 @@
     setting; only the [compaction.speculative.*] counters reflect the
     actual dispatch.
 
-    With [adaptive] widths enabled (the default), the per-round
-    speculation width follows the observed acceptance pattern — an
+    The per-round speculation width follows the observed acceptance pattern — an
     acceptance at slot [j] shrinks the next rounds to width [j + 1],
     and a streak of fully-rejected rounds doubles it back toward
     [jobs].  Because positions are committed exactly once and in order
@@ -31,9 +30,7 @@
     detection times and {!stats} are bit-identical at ANY width
     trajectory; only the dispatch-schedule counters
     ([compaction.speculative.*] and [compaction.adaptive.*]) differ.
-    Snapshot buffers are arena-reused across rounds, and a shared
-    {!Spec.Pool} can supply the trial domains instead of per-round
-    spawns. *)
+    Snapshot buffers are arena-reused across rounds. *)
 
 type config = {
   max_passes : int;  (** passes over the sequence (fixpoint cut-off) *)
@@ -48,10 +45,6 @@ type config = {
       trials dispatched per round, the main replay session's simulation
       domains, and (on the sequential path) the domains of each probe
       session.  Results are schedule-independent. *)
-  adaptive : bool;
-  (** let the width controller shrink/re-widen the speculation width
-      with the observed acceptance rate (default [true]); affects only
-      dispatch-schedule counters, never results *)
 }
 
 val default_config : config
@@ -76,16 +69,13 @@ type stats = {
     (with optional [trace]) records one [omit.pass<n>] span per executed
     pass; [spec], when given, accumulates the speculative-dispatch
     counters (see {!Spec.counters}); [adaptive] accumulates the width
-    controller / arena-reuse counters (see {!Spec.adaptive}); [pool]
-    supplies trial-evaluation domains from a shared {!Spec.Pool}
-    instead of per-round spawns. *)
+    controller / arena-reuse counters (see {!Spec.adaptive}). *)
 val run :
   ?budget:Obs.Budget.t ->
   ?metrics:Obs.Metrics.t ->
   ?trace:Obs.Trace.t ->
   ?spec:Spec.counters ->
   ?adaptive:Spec.adaptive ->
-  ?pool:Spec.Pool.t ->
   Faultmodel.Model.t ->
   Logicsim.Vectors.t ->
   Target.t ->

@@ -5,9 +5,8 @@
     commit the results left to right, so the committed trace is exactly
     the one a sequential run would have produced.  This module provides
     the pieces that machinery needs — a deterministic parallel [map]
-    over trial indices, an optional shared worker {!Pool} the map can
-    draw domains from instead of spawning its own, and the telemetry
-    counters that account for every dispatched speculation. *)
+    over trial indices and the telemetry counters that account for every
+    dispatched speculation. *)
 
 (** Accounting of speculative work.  [dispatched] counts evaluations
     beyond the first of each round/wave (the ones that are speculative);
@@ -52,34 +51,6 @@ val make_adaptive : unit -> adaptive
     replay_skipped}]. *)
 val record_adaptive : adaptive -> Obs.Counters.t -> unit
 
-(** A shared pool of worker domains for trial evaluation.  A daemon
-    creates one pool and threads it through every request's compaction,
-    so independent pipelined requests overlap their speculative trials
-    on a fixed domain set instead of each spawning per-round islands.
-
-    Submissions cannot deadlock regardless of pool capacity: the
-    submitting domain runs the first slot itself and steals its own
-    still-unclaimed slots back while waiting, so it makes progress even
-    when every worker is busy with other requests.  Results are written
-    by slot index, making them independent of pool size and scheduling. *)
-module Pool : sig
-  type t
-
-  (** [create ~size] spawns [size] (at least 1) worker domains. *)
-  val create : size:int -> t
-
-  val size : t -> int
-
-  (** Drain and join every worker.  Submitting to a shut-down pool
-      raises [Invalid_argument]. *)
-  val shutdown : t -> unit
-
-  (** [run t n f] evaluates [f 0 .. f (n-1)] on the pool and returns the
-      results in index order; re-raises the first slot error after all
-      slots finish. *)
-  val run : t -> int -> (int -> 'a) -> 'a array
-end
-
 (** [map ~jobs n f] evaluates [f 0 .. f (n-1)] and returns the results in
     index order.  Indices are dealt round-robin across [jobs] domains
     (index [k] runs on domain [k mod jobs]; domain 0 is the calling
@@ -87,8 +58,5 @@ end
     indices — in practice, pure up to thread-confined scratch state.
     Results are independent of [jobs] whenever each [f k] is
     deterministic.  If any call raises, every domain is joined before the
-    first error (calling domain first, then spawn order) is re-raised.
-    With [pool] (and [jobs > 1]), evaluation slots are claimed from the
-    shared pool instead of spawning fresh domains; results are identical
-    either way. *)
-val map : ?pool:Pool.t -> jobs:int -> int -> (int -> 'a) -> 'a array
+    first error (calling domain first, then spawn order) is re-raised. *)
+val map : jobs:int -> int -> (int -> 'a) -> 'a array

@@ -40,6 +40,3 @@ let with_compact_jobs jobs cfg =
   { cfg with
     compact_jobs = jobs;
     omission = { cfg.omission with Compaction.Omission.jobs } }
-
-let with_compact_adaptive adaptive cfg =
-  { cfg with omission = { cfg.omission with Compaction.Omission.adaptive } }

@@ -45,9 +45,3 @@ val with_sim_jobs : int -> t -> t
     replay session and probe sessions, via [omission.jobs]) and
     restoration's wave evaluation. *)
 val with_compact_jobs : int -> t -> t
-
-(** [with_compact_adaptive b cfg] enables/disables omission's adaptive
-    speculation-width controller ([omission.adaptive], default on).
-    Results are byte-identical either way; only dispatch-schedule
-    telemetry differs. *)
-val with_compact_adaptive : bool -> t -> t

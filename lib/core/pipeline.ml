@@ -74,19 +74,21 @@ let zero_omit_stats =
    [budget] reaches the trial loops of both procedures but deliberately not
    [Target.compute]: a frozen probe there would silently drop compaction
    targets, whereas restoration and omission degrade to a valid (merely
-   longer) sequence. *)
-let compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget =
-  (* Speculative-dispatch accounting for both procedures, folded into the
-     metrics counters below — i.e. before any checkpoint captures them, so
-     a resumed run reports the same totals as an uninterrupted one. *)
+   longer) sequence.
+
+   The speculative-dispatch accounting of both procedures is folded into
+   the metrics counters before returning, i.e. before any checkpoint
+   captures them, so a resumed run reports the same totals as an
+   uninterrupted one. *)
+let compact ?(budget = Obs.Budget.unlimited) ?rstats ?trace ~metrics cfg model
+    seq targets =
   let spec = Compaction.Spec.make () in
   let adaptive = Compaction.Spec.make_adaptive () in
   let restored, targets_r =
-    Obs.Metrics.timed metrics ~trace "restore" (fun () ->
+    Obs.Metrics.timed metrics ?trace "restore" (fun () ->
         let restored =
-          Compaction.Restoration.run ~stats:rstats ~budget
-            ~jobs:cfg.Config.compact_jobs ~spec ~adaptive ?pool model seq
-            targets
+          Compaction.Restoration.run ?stats:rstats ~budget
+            ~jobs:cfg.Config.compact_jobs ~spec ~adaptive model seq targets
         in
         let targets_r =
           Compaction.Target.compute ~jobs:cfg.Config.sim_jobs model restored
@@ -102,24 +104,26 @@ let compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget =
         Compaction.Omission.max_trials = Some ((4 * Array.length restored) + 2000) }
   in
   let omitted, _, ostats =
-    Obs.Metrics.timed metrics ~trace "omit" (fun () ->
-        Compaction.Omission.run ~budget ~metrics ~trace ~spec ~adaptive ?pool
-          model restored targets_r omission)
+    Obs.Metrics.timed metrics ?trace "omit" (fun () ->
+        Compaction.Omission.run ~budget ~metrics ?trace ~spec ~adaptive model
+          restored targets_r omission)
   in
   let c = Obs.Metrics.counters metrics in
   Compaction.Spec.record spec c;
   Compaction.Spec.record_adaptive adaptive c;
-  Obs.Counters.add c "omit.trials" ostats.Compaction.Omission.trials;
-  Obs.Counters.add c "omit.accepted" ostats.Compaction.Omission.accepted;
-  Obs.Counters.add c "omit.rejected" ostats.Compaction.Omission.rejected;
-  Obs.Counters.add c "omit.removed_vectors"
-    ostats.Compaction.Omission.removed_vectors;
-  Obs.Counters.add c "omit.passes" ostats.Compaction.Omission.passes;
   restored, omitted, ostats
+
+let record_omission c (o : Compaction.Omission.stats) =
+  Obs.Counters.add c "omit.trials" o.Compaction.Omission.trials;
+  Obs.Counters.add c "omit.accepted" o.Compaction.Omission.accepted;
+  Obs.Counters.add c "omit.rejected" o.Compaction.Omission.rejected;
+  Obs.Counters.add c "omit.removed_vectors"
+    o.Compaction.Omission.removed_vectors;
+  Obs.Counters.add c "omit.passes" o.Compaction.Omission.passes
 
 let run ?(scale = Circuits.Profiles.Quick) ?config ?metrics ?(trace = Obs.Trace.null)
     ?(budget = Obs.Budget.unlimited) ?checkpoint ?resume
-    ?(checkpoint_every = 25) ?halt_after ?pool name =
+    ?(checkpoint_every = 25) ?halt_after name =
   let metrics =
     match metrics with
     | Some m -> m
@@ -238,8 +242,9 @@ let run ?(scale = Circuits.Profiles.Quick) ?config ?metrics ?(trace = Obs.Trace.
       | Some { Checkpoint.p_compact = Some (r, o, s); _ } -> r, o, s
       | _ ->
         let r, o, s =
-          compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget
+          compact ~budget ~rstats ~trace ~metrics cfg model seq targets
         in
+        record_omission cnt s;
         save_stage
           (Checkpoint.Phased
              {
@@ -364,9 +369,10 @@ let run ?(scale = Circuits.Profiles.Quick) ?config ?metrics ?(trace = Obs.Trace.
       in
       (* Row 7's compaction accumulates into the same restore/omit phases
          and counters as row 6's. *)
-      let restored7, omitted7, _ =
-        compact ?pool cfg model t7 targets7 ~metrics ~trace ~rstats ~budget
+      let restored7, omitted7, ostats7 =
+        compact ~budget ~rstats ~trace ~metrics cfg model t7 targets7
       in
+      record_omission cnt ostats7;
       Some
         {
           name;

@@ -82,11 +82,7 @@ exception Halted of string
     resumed run's table rows and jobs-invariant counters are bit-identical
     to an uninterrupted one.  [halt_after] raises {!Halted} just after the
     named phase ([generate], [compact], [extra-detect], [baseline])
-    checkpoints — an induced crash for resume tests.
-
-    [pool], when given, supplies compaction's speculative trial domains
-    from a shared {!Compaction.Spec.Pool} (the daemon's batch-level
-    parallelism) instead of per-round spawns; results are identical. *)
+    checkpoints — an induced crash for resume tests. *)
 val run :
   ?scale:Circuits.Profiles.scale ->
   ?config:Config.t ->
@@ -97,9 +93,32 @@ val run :
   ?resume:Checkpoint.file ->
   ?checkpoint_every:int ->
   ?halt_after:string ->
-  ?pool:Compaction.Spec.Pool.t ->
   string ->
   result
+
+(** [compact ~metrics cfg model seq targets] is the paper's static
+    compaction, the one routine behind [run], the daemon and the CLI:
+    restoration [23] under [budget] (default unlimited), the targets'
+    detection times in the restored sequence, then omission [22] capped
+    at [4 * restored length + 2000] trials unless
+    [cfg.omission.max_trials] sets a cap.  It returns the restored
+    sequence, the omitted (final) sequence and omission's statistics.
+
+    [metrics] receives one [restore] and one [omit] phase (spans in
+    [trace], with omission's [omit.pass<n>] spans nested under [omit])
+    and the jobs-dependent [compaction.speculative.*] /
+    [compaction.adaptive.*] counters; [rstats] accumulates restoration's
+    work counters.  The [omit.*] counters are left to the caller. *)
+val compact :
+  ?budget:Obs.Budget.t ->
+  ?rstats:Compaction.Restoration.stats ->
+  ?trace:Obs.Trace.t ->
+  metrics:Obs.Metrics.t ->
+  Config.t ->
+  Faultmodel.Model.t ->
+  Logicsim.Vectors.t ->
+  Compaction.Target.t ->
+  Logicsim.Vectors.t * Logicsim.Vectors.t * Compaction.Omission.stats
 
 (** [scan_count scan seq] counts the [scan_sel = 1] vectors of a sequence. *)
 val scan_count : Scanins.Scan.t -> Logicsim.Vectors.t -> int

@@ -2,9 +2,8 @@
 
     The determinism contract (DESIGN.md §11) makes compute responses
     pure functions of their canonical request — byte-identical at any
-    worker count, cache state or pool configuration — so the router may
-    answer a repeated request from memory without consulting a shard at
-    all.  The cache maps a canonical request rendering
+    worker count or cache state — so the router may answer a repeated
+    request from memory without consulting a shard at all.  The cache maps a canonical request rendering
     ({!Server.Protocol.canonical_of_request} with [id = 0] and
     [drop_jobs], so requests differing only in parallelism share a key)
     to the response payload bytes with the [id] field stripped; a hit

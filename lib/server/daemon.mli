@@ -53,12 +53,6 @@ type trace_format =
 type config = {
   addr : addr;
   jobs : int;  (** worker domains executing compute requests *)
-  trial_pool : int;
-      (** size of the daemon-wide speculative-trial pool shared by every
-          request's compaction rounds/waves ([--trial-pool]); 0
-          (default) keeps the per-request spawn-per-round behaviour.
-          Results are byte-identical either way — the pool only changes
-          which domains evaluate the trials. *)
   queue_depth : int;  (** admission bound on waiting requests *)
   cache_capacity : int;  (** compiled circuits kept resident *)
   default_scale : Circuits.Profiles.scale;

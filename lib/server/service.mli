@@ -12,8 +12,7 @@
     readings, no cache-hit flags and no jobs-dependent counters (the
     [compaction.speculative.*] and [compaction.adaptive.*] families are
     filtered out), so replaying the same request yields byte-identical
-    payloads at any [--server-jobs], any [--trial-pool] size, and across
-    daemon restarts.  [stats] is the deliberate exception: it snapshots
+    payloads at any [--server-jobs] and across daemon restarts.  [stats] is the deliberate exception: it snapshots
     live server state and is excluded from byte-identity comparisons. *)
 
 type t
@@ -45,14 +44,11 @@ type meta = {
     deliberate exception: an injected {!Obs.Failpoint.Crashed} escapes,
     modelling a worker death for the daemon's containment layer.
     [trace] (default {!Obs.Trace.null}) receives the request's phase
-    spans ([generate], [compact], the [flow.*] stages, …); the daemon
-    passes a per-request collector here and folds it into its global one
-    afterwards.  Trace spans never influence the response payload.
-    [pool], when given, is the daemon-wide {!Compaction.Spec.Pool}
-    supplying compaction's speculative trial domains — shared safely by
-    concurrent [execute] calls, with byte-identical results. *)
+    spans ([generate], [compact] with its [restore] and [omit] phases,
+    the [flow.*] stages, …); the daemon passes a per-request collector
+    here and folds it into its global one afterwards.  Trace spans never
+    influence the response payload. *)
 val execute :
-  ?pool:Compaction.Spec.Pool.t ->
   t -> budget:Obs.Budget.t -> ?trace:Obs.Trace.t -> Protocol.request ->
   string * meta
 

@@ -105,6 +105,12 @@ let test_synth_invalid_args () =
   inv (fun () -> Circuits.Synthetic.generate ~name:"t" ~pis:1 ~ffs:(-1) ~gates:5 ~seed:1L ());
   inv (fun () -> Circuits.Synthetic.generate ~name:"t" ~pis:1 ~ffs:1 ~gates:0 ~seed:1L ())
 
+let test_synth_single_source () =
+  (* One PI, no FFs: the first gate has a single signal to draw from. *)
+  let c = Circuits.Synthetic.generate ~name:"t" ~pis:1 ~ffs:0 ~gates:4 ~seed:5L () in
+  Alcotest.(check int) "pis" 1 (C.input_count c);
+  Alcotest.(check bool) "gates >= requested" true (C.gate_count c >= 4)
+
 let prop_synth_no_duplicate_fanins =
   QCheck2.Test.make ~name:"gates never repeat a fanin" ~count:15
     QCheck2.Gen.(int_range 1 1000)
@@ -182,6 +188,7 @@ let () =
           Alcotest.test_case "no dead gates" `Quick test_synth_all_gates_observable_or_consumed;
           Alcotest.test_case "gate budget raised" `Quick test_synth_min_gates_raised;
           Alcotest.test_case "invalid arguments" `Quick test_synth_invalid_args;
+          Alcotest.test_case "single source" `Quick test_synth_single_source;
           q prop_synth_no_duplicate_fanins;
           q prop_synth_valid;
         ] );

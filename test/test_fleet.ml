@@ -90,13 +90,24 @@ let shard_main socket =
       verbose = false;
     }
 
-let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
+(* Shards as real processes of the built CLI (a dune dependency of this
+   test, next to it in the build tree), so a shard kill is a SIGKILL. *)
+let exec_shards =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ ".."; "bin"; "scanatpg.exe" ]
+  in
+  Fleet.Shard.Exec
+    (fun _ socket -> [| exe; "serve"; "--socket"; socket; "--quiet" |])
+
+let with_router ?(shards = 2) ?(result_cache_capacity = 256)
+    ?(launcher = Fleet.Shard.Inproc shard_main) ?chaos f =
   let sock = Filename.temp_file "scanatpg_fleet" ".sock" in
   let addr = Server.Daemon.Unix_sock sock in
   let cfg =
     {
-      (Fleet.Router.default_config addr ~shards
-         ~launcher:(Fleet.Shard.Inproc shard_main))
+      (Fleet.Router.default_config addr ~shards ~launcher)
       with
       Fleet.Router.result_cache_capacity;
       chaos;
@@ -300,7 +311,8 @@ let test_router_result_cache_eviction () =
 let test_router_shard_crash_typed_outcomes () =
   (* kill the dispatch target once: the request is redispatched after
      the restart and the client still sees exactly one ok response *)
-  with_router ~shards:2 ~chaos:"seed=11;shard=crash#1" (fun addr ->
+  with_router ~shards:2 ~launcher:exec_shards ~chaos:"seed=11;shard=crash#1"
+    (fun addr ->
       let outcomes =
         batch addr
           [ {|{"op":"generate","circuit":"s27","seed":77}|};

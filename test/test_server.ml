@@ -522,36 +522,62 @@ let test_daemon_trace_ids () =
           | Some _ -> Alcotest.fail "spans present without --slow-ms")
         entries)
 
+(* The direct children of a span-tree node, by name. *)
+let child_spans node =
+  match J.member "children" node with
+  | Some (J.Arr cs) -> cs
+  | _ -> []
+
+let find_child node name =
+  List.find_opt (fun c -> J.member "name" c = Some (J.Str name)) (child_spans node)
+
 let test_daemon_slow_request_logs_spans () =
   (* --slow-ms 0: every compute request is over threshold, so its access
      log line must carry the full span tree *)
   let log = Filename.temp_file "scanatpg_acc" ".jsonl" in
+  let vectors =
+    String.concat ","
+      (List.map (Printf.sprintf "%S")
+         [ "110011";"001111";"001100";"010110";"001100";"110111";"111001";"111101";"000111";"011000" ])
+  in
   Fun.protect
     ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
     (fun () ->
       with_daemon ~access_log:log ~slow_ms:0 (fun addr ->
           let outcomes =
-            batch addr [ {|{"id":11,"op":"generate","circuit":"s27","seed":7}|} ]
+            batch addr
+              [ {|{"id":11,"op":"generate","circuit":"s27","seed":7}|};
+                Printf.sprintf
+                  {|{"id":12,"op":"compact","circuit":"s27","vectors":[%s]}|}
+                  vectors ]
           in
           List.iter
             (fun (status, _) -> Alcotest.(check string) "ok" "ok" status)
             outcomes);
-      let entry = log_entry (read_log log) 11 in
-      let spans =
-        match J.member "spans" entry with
-        | Some s -> s
+      let entries = read_log log in
+      let root id =
+        match J.member "spans" (log_entry entries id) with
+        | Some (J.Arr (root :: _)) -> root
+        | Some _ -> Alcotest.fail "spans is not a non-empty array"
         | None -> Alcotest.fail "slow request logged without spans"
       in
       (* the tree is rooted at the request span, op recorded in its attrs *)
-      match spans with
-      | J.Arr (root :: _) -> (
-        (match J.member "name" root with
-        | Some (J.Str n) -> Alcotest.(check string) "root span" "request" n
-        | _ -> Alcotest.fail "root span has no name");
-        match J.member "children" root with
-        | Some (J.Arr (_ :: _)) -> ()
-        | _ -> Alcotest.fail "request span has no child phases")
-      | _ -> Alcotest.fail "spans is not a non-empty array")
+      let gen = root 11 in
+      (match J.member "name" gen with
+      | Some (J.Str n) -> Alcotest.(check string) "root span" "request" n
+      | _ -> Alcotest.fail "root span has no name");
+      Alcotest.(check bool) "request span has child phases" true
+        (child_spans gen <> []);
+      (* a compact request shows the compaction phases under [compact]:
+         restoration, then omission with its per-pass spans *)
+      let need node name =
+        match find_child node name with
+        | Some c -> c
+        | None -> Alcotest.failf "no %s span under the compact request" name
+      in
+      let compact = need (root 12) "compact" in
+      ignore (need compact "restore");
+      ignore (need (need compact "omit") "omit.pass1"))
 
 let () =
   Alcotest.run "server"

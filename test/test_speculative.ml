@@ -113,11 +113,11 @@ let prop_omission_jobs_invariant =
 
 (* ---------------------------------------------------------- restoration *)
 
-let run_restoration ?budget ?pool ?adaptive ~jobs (m, seq, targets) =
+let run_restoration ?budget ?adaptive ~jobs (m, seq, targets) =
   let stats = Restoration.make_stats () in
   let spec = Spec.make () in
   let restored =
-    Restoration.run ~stats ?budget ~jobs ~spec ?adaptive ?pool m seq targets
+    Restoration.run ~stats ?budget ~jobs ~spec ?adaptive m seq targets
   in
   restored, stats, spec
 
@@ -152,33 +152,28 @@ let prop_restoration_jobs_invariant =
 
 (* ------------------------------------------------------- adaptive width *)
 
-let run_omission_adaptive ?pool ~jobs ~adaptive (m, seq, targets) =
-  let cfg = { Omission.default_config with jobs; adaptive } in
+let run_omission_adaptive ~jobs (m, seq, targets) =
+  let cfg = { Omission.default_config with jobs } in
   let spec = Spec.make () in
   let ad = Spec.make_adaptive () in
-  let seq', targets', stats =
-    Omission.run ~spec ~adaptive:ad ?pool m seq targets cfg
-  in
+  let seq', targets', stats = Omission.run ~spec ~adaptive:ad m seq targets cfg in
   seq', targets', stats, spec, ad
 
 let test_adaptive_byte_identity () =
-  (* The width trajectory may differ with the controller on or off and at
-     any compact_jobs; the sequence, detection times and jobs-invariant
-     stats may not. *)
+  (* The width trajectory differs at every compact_jobs; the sequence,
+     detection times and jobs-invariant stats may not. *)
   let setup = random_setup 31 180 in
-  let s_ref, t_ref, st_ref, _, _ =
-    run_omission_adaptive ~jobs:1 ~adaptive:false setup
-  in
+  let s_ref, t_ref, st_ref, _, _ = run_omission_adaptive ~jobs:1 setup in
   List.iter
-    (fun (jobs, adaptive) ->
-      let s, t, st, _, _ = run_omission_adaptive ~jobs ~adaptive setup in
-      let what = Printf.sprintf "jobs=%d adaptive=%b" jobs adaptive in
+    (fun jobs ->
+      let s, t, st, _, _ = run_omission_adaptive ~jobs setup in
+      let what = Printf.sprintf "jobs=%d" jobs in
       Alcotest.(check string)
         (what ^ ": sequence") (seq_to_string s_ref) (seq_to_string s);
       Alcotest.(check (array int))
         (what ^ ": det times") t_ref.Target.det_times t.Target.det_times;
       Alcotest.(check bool) (what ^ ": stats") true (st_ref = st))
-    [ (1, true); (2, true); (4, true); (4, false) ]
+    [ 1; 2; 4 ]
 
 let test_adaptive_shrinks_and_rewidens () =
   (* Scan seeds until the controller demonstrably shrank on an early
@@ -187,13 +182,14 @@ let test_adaptive_shrinks_and_rewidens () =
      saving dispatches.  Every scanned seed must stay byte-identical to
      the sequential run — the trajectory is telemetry, never semantics. *)
   let shrunk = ref false and widened = ref false and saved = ref false in
+  let reused = ref false in
   let seed = ref 100 in
-  while (not (!shrunk && !widened && !saved)) && !seed < 140 do
+  while (not (!shrunk && !widened && !saved && !reused)) && !seed < 140 do
     let setup = random_setup !seed 180 in
-    let s1, _, st1, _, _ = run_omission_adaptive ~jobs:1 ~adaptive:true setup in
+    let s1, _, st1, _, _ = run_omission_adaptive ~jobs:1 setup in
     List.iter
       (fun jobs ->
-        let sk, _, stk, _, ad = run_omission_adaptive ~jobs ~adaptive:true setup in
+        let sk, _, stk, _, ad = run_omission_adaptive ~jobs setup in
         Alcotest.(check string)
           (Printf.sprintf "seed %d jobs %d: sequence" !seed jobs)
           (seq_to_string s1) (seq_to_string sk);
@@ -202,26 +198,15 @@ let test_adaptive_shrinks_and_rewidens () =
           true (st1 = stk);
         if ad.Spec.shrinks > 0 then shrunk := true;
         if ad.Spec.widens > 0 then widened := true;
-        if ad.Spec.trials_saved > 0 then saved := true)
+        if ad.Spec.trials_saved > 0 then saved := true;
+        if ad.Spec.arena_reuses > 0 then reused := true)
       [ 2; 4 ];
     incr seed
   done;
   Alcotest.(check bool) "controller shrank at least once" true !shrunk;
   Alcotest.(check bool) "controller re-widened at least once" true !widened;
-  Alcotest.(check bool) "reduced widths saved dispatches" true !saved
-
-let test_adaptive_off_is_inert () =
-  (* With the controller off the full width is dispatched every round:
-     no shrinks, no widens, nothing saved.  The arena still recycles its
-     snapshot buffers — that reuse is unconditional. *)
-  let _, _, st, _, ad =
-    run_omission_adaptive ~jobs:4 ~adaptive:false (random_setup 32 180)
-  in
-  Alcotest.(check int) "no shrinks" 0 ad.Spec.shrinks;
-  Alcotest.(check int) "no widens" 0 ad.Spec.widens;
-  Alcotest.(check int) "no trials saved" 0 ad.Spec.trials_saved;
-  Alcotest.(check bool) "multi-round run reused the arena" true
-    (st.Omission.trials <= 1 || ad.Spec.arena_reuses > 0)
+  Alcotest.(check bool) "reduced widths saved dispatches" true !saved;
+  Alcotest.(check bool) "snapshot arena reused" true !reused
 
 let test_restoration_replay_skip () =
   (* The keep-generation guard: a wave member whose keep mask did not
@@ -234,83 +219,6 @@ let test_restoration_replay_skip () =
   Alcotest.(check string) "sequence" (seq_to_string s1) (seq_to_string s3);
   Alcotest.(check bool) "stats" true (st1 = st3);
   Alcotest.(check bool) "replays skipped" true (ad.Spec.replay_skipped > 0)
-
-(* ------------------------------------------------------------ trial pool *)
-
-let test_pool_map_order_and_errors () =
-  let pool = Spec.Pool.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      let expected = Array.init 23 (fun k -> k * k) in
-      Alcotest.(check (array int))
-        "pooled jobs=3" expected
-        (Spec.map ~pool ~jobs:3 23 (fun k -> k * k));
-      Alcotest.(check (array int))
-        "jobs=1 stays sequential" expected
-        (Spec.map ~pool ~jobs:1 23 (fun k -> k * k));
-      (match
-         Spec.map ~pool ~jobs:3 8 (fun k -> if k = 5 then raise (Poison k) else k)
-       with
-       | _ -> Alcotest.fail "pooled poison swallowed"
-       | exception Poison 5 -> ());
-      (* A failed submission must not kill the workers: the pool keeps
-         serving afterwards. *)
-      Alcotest.(check (array int))
-        "pool alive after error" expected
-        (Spec.map ~pool ~jobs:3 23 (fun k -> k * k)))
-
-let test_pool_concurrent_submitters () =
-  (* Several domains funnel submissions through one pool at once — the
-     daemon's shape, where every worker shares the trial pool.  Each
-     submitter must get its own complete, ordered results. *)
-  let pool = Spec.Pool.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      let expected = Array.init 40 (fun k -> (k * 7) + 1) in
-      let submit () = Spec.map ~pool ~jobs:3 40 (fun k -> (k * 7) + 1) in
-      let ds = Array.init 4 (fun _ -> Domain.spawn submit) in
-      Array.iter
-        (fun d ->
-          Alcotest.(check (array int)) "concurrent submitter" expected
-            (Domain.join d))
-        ds)
-
-let test_pool_omission_equivalence () =
-  (* Omission through a shared pool, twice through the same pool (the
-     daemon reuses it across requests), vs the spawn-per-round path. *)
-  let setup = random_setup 41 180 in
-  let s_spawn, _, st_spawn, _, _ =
-    run_omission_adaptive ~jobs:4 ~adaptive:true setup
-  in
-  let pool = Spec.Pool.create ~size:4 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      for round = 1 to 2 do
-        let s_pool, _, st_pool, _, _ =
-          run_omission_adaptive ~pool ~jobs:4 ~adaptive:true setup
-        in
-        Alcotest.(check string)
-          (Printf.sprintf "pooled sequence (round %d)" round)
-          (seq_to_string s_spawn) (seq_to_string s_pool);
-        Alcotest.(check bool)
-          (Printf.sprintf "pooled stats (round %d)" round)
-          true (st_spawn = st_pool)
-      done)
-
-let test_pool_restoration_equivalence () =
-  let setup = random_setup 42 200 in
-  let s_spawn, st_spawn, _ = run_restoration ~jobs:3 setup in
-  let pool = Spec.Pool.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      let s_pool, st_pool, _ = run_restoration ~pool ~jobs:3 setup in
-      Alcotest.(check string)
-        "pooled sequence" (seq_to_string s_spawn) (seq_to_string s_pool);
-      Alcotest.(check bool) "pooled stats" true (st_spawn = st_pool))
 
 (* ---------------------------------------------- pipeline, kill-and-resume *)
 
@@ -418,18 +326,6 @@ let () =
             test_adaptive_byte_identity;
           Alcotest.test_case "shrinks and re-widens" `Quick
             test_adaptive_shrinks_and_rewidens;
-          Alcotest.test_case "off is inert" `Quick test_adaptive_off_is_inert;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "map order and errors" `Quick
-            test_pool_map_order_and_errors;
-          Alcotest.test_case "concurrent submitters" `Quick
-            test_pool_concurrent_submitters;
-          Alcotest.test_case "omission equivalence" `Quick
-            test_pool_omission_equivalence;
-          Alcotest.test_case "restoration equivalence" `Quick
-            test_pool_restoration_equivalence;
         ] );
       ( "pipeline",
         [
