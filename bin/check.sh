@@ -71,6 +71,27 @@ trap 'keep_artifacts; rm -rf "$tmpdir"' EXIT
 echo "== dune build @all =="
 dune build @all || fail "dune build @all"
 
+wait_for_socket() {
+  i=0
+  while [ ! -S "$1" ] && [ "$i" -lt 100 ]; do
+    i=$((i + 1)); sleep 0.1
+  done
+  [ -S "$1" ] || fail "$2 socket never appeared"
+}
+
+# Prometheus text lint of `scanatpg stats --prom` against socket $1, kept
+# in $2: every line is a bare name{labels} value sample, and the e2e
+# latency p99 is present.  Daemon and router render it with one function.
+lint_prom() {
+  "$scanatpg_bin" stats --socket "$1" --prom > "$2" 2> /dev/null \
+    || fail "scanatpg stats --prom against $1"
+  if grep -Evq '^[a-z_]+(\{[^}]*\})? [0-9.eE+-]+$' "$2"; then
+    fail "prometheus exposition from $1 has a malformed line"
+  fi
+  grep -q '^scanatpg_hist{name="server\.e2e_ns",quantile="0\.99"} ' "$2" \
+    || fail "prometheus e2e p99 sample missing from $1"
+}
+
 run_chaos_soak() {
   scanatpg_bin=./_build/default/bin/scanatpg.exe
   [ -x "$scanatpg_bin" ] || fail "missing $scanatpg_bin (dune build @all ran?)"
@@ -100,11 +121,7 @@ run_chaos_soak() {
     --access-log "$tmpdir/chaos-access.jsonl" \
     --metrics "$tmpdir/chaos-metrics.json" &
   serve_pid=$!
-  i=0
-  while [ ! -S "$tmpdir/chaos.sock" ] && [ "$i" -lt 50 ]; do
-    i=$((i + 1)); sleep 0.1
-  done
-  [ -S "$tmpdir/chaos.sock" ] || fail "chaos daemon socket never appeared"
+  wait_for_socket "$tmpdir/chaos.sock" "chaos daemon"
   rc=0
   "$scanatpg_bin" batch --socket "$tmpdir/chaos.sock" \
     --retries 6 --backoff-ms 50 \
@@ -149,11 +166,7 @@ EOF
       "$scanatpg_bin" serve --socket "$sock" --quiet &
     fi
     pid=$!
-    i=0
-    while [ ! -S "$sock" ] && [ "$i" -lt 50 ]; do
-      i=$((i + 1)); sleep 0.1
-    done
-    [ -S "$sock" ] || fail "retry daemon socket never appeared"
+    wait_for_socket "$sock" "retry daemon"
     # shellcheck disable=SC2086
     "$scanatpg_bin" batch --socket "$sock" $retry_opts \
       "$tmpdir/retry-requests.jsonl" -o "$out" 2> /dev/null \
@@ -166,14 +179,6 @@ EOF
     "seed=${CHAOS_SEED};writer=error#1" "--retries 4 --backoff-ms 50"
   diff "$tmpdir/clean-responses.jsonl" "$tmpdir/retried-responses.jsonl" \
     || fail "retried batch differs from the uninterrupted run"
-}
-
-wait_for_socket() {
-  i=0
-  while [ ! -S "$1" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-  done
-  [ -S "$1" ] || fail "$2 socket never appeared"
 }
 
 run_fleet_smoke() {
@@ -240,6 +245,7 @@ EOF
     || fail "top did not render the aggregate fleet line"
   [ "$(wc -l < "$tmpdir/fleet-top.txt")" -eq 4 ] \
     || fail "top did not render one row per target"
+  lint_prom "$tmpdir/fleet.sock" "$tmpdir/fleet-stats-prom.txt"
 
   # Clean fanned-out drain: SIGTERM must collect both shard processes,
   # unlink every socket, and exit 0.
@@ -472,11 +478,7 @@ EOF
 "$scanatpg_bin" serve --socket "$tmpdir/serve.sock" --quiet \
   --metrics "$tmpdir/serve-metrics.json" &
 serve_pid=$!
-i=0
-while [ ! -S "$tmpdir/serve.sock" ] && [ "$i" -lt 50 ]; do
-  i=$((i + 1)); sleep 0.1
-done
-[ -S "$tmpdir/serve.sock" ] || fail "daemon socket never appeared"
+wait_for_socket "$tmpdir/serve.sock" "daemon"
 "$scanatpg_bin" batch --socket "$tmpdir/serve.sock" \
   "$tmpdir/requests.jsonl" -o "$tmpdir/responses.jsonl" 2> /dev/null \
   || fail "batch against daemon"
@@ -507,11 +509,7 @@ EOF
 "$scanatpg_bin" serve --socket "$tmpdir/drain.sock" --quiet \
   --drain-grace 0.2 --access-log "$tmpdir/access.jsonl" &
 serve_pid=$!
-i=0
-while [ ! -S "$tmpdir/drain.sock" ] && [ "$i" -lt 50 ]; do
-  i=$((i + 1)); sleep 0.1
-done
-[ -S "$tmpdir/drain.sock" ] || fail "drain daemon socket never appeared"
+wait_for_socket "$tmpdir/drain.sock" "drain daemon"
 "$scanatpg_bin" batch --socket "$tmpdir/drain.sock" \
   "$tmpdir/drain-requests.jsonl" -o "$tmpdir/drain-responses.jsonl" \
   2> /dev/null &
@@ -543,22 +541,11 @@ EOF
   --trace "$tmpdir/trace-chrome.json" --trace-format chrome --slow-ms 0 \
   --access-log "$tmpdir/obs-access.jsonl" &
 serve_pid=$!
-i=0
-while [ ! -S "$tmpdir/obs.sock" ] && [ "$i" -lt 50 ]; do
-  i=$((i + 1)); sleep 0.1
-done
-[ -S "$tmpdir/obs.sock" ] || fail "obs daemon socket never appeared"
+wait_for_socket "$tmpdir/obs.sock" "obs daemon"
 "$scanatpg_bin" batch --socket "$tmpdir/obs.sock" \
   "$tmpdir/obs-requests.jsonl" -o "$tmpdir/obs-responses.jsonl" \
   2> /dev/null || fail "batch against obs daemon"
-"$scanatpg_bin" stats --socket "$tmpdir/obs.sock" --prom \
-  > "$tmpdir/stats-prom.txt" 2> /dev/null || fail "scanatpg stats --prom"
-# Prometheus text lint: every line is a bare name{labels} value sample.
-if grep -Evq '^[a-z_]+(\{[^}]*\})? [0-9.eE+-]+$' "$tmpdir/stats-prom.txt"; then
-  fail "prometheus exposition has a malformed line"
-fi
-grep -q '^scanatpg_hist{name="server\.e2e_ns",quantile="0\.99"} ' \
-  "$tmpdir/stats-prom.txt" || fail "prometheus e2e p99 sample missing"
+lint_prom "$tmpdir/obs.sock" "$tmpdir/stats-prom.txt"
 printf '{"op":"shutdown"}\n' > "$tmpdir/obs-shutdown.jsonl"
 "$scanatpg_bin" batch --socket "$tmpdir/obs.sock" \
   "$tmpdir/obs-shutdown.jsonl" 2> /dev/null || fail "obs daemon shutdown"

@@ -102,6 +102,19 @@ let trace_format_arg =
               per line) or $(b,chrome) (Chrome trace-event JSON, loadable \
               in Perfetto or chrome://tracing).")
 
+let observe_arg =
+  Arg.(
+    value & flag
+    & info [ "observe" ]
+        ~doc:"Also count good-machine toggle / switching activity \
+              (reported via --metrics).")
+
+let seqfile_arg =
+  Arg.(
+    required
+    & pos 1 (some string) None
+    & info [] ~docv:"SEQFILE" ~doc:"Sequence file (one 01x vector per line).")
+
 (* ------------------------------------------------------------- helpers *)
 
 let write_sequence path seq =
@@ -238,13 +251,6 @@ let generate_cmd =
       & info [ "tester" ] ~docv:"FILE"
           ~doc:"Also write a tester program (stimulus + expected responses).")
   in
-  let observe =
-    Arg.(
-      value & flag
-      & info [ "observe" ]
-          ~doc:"Also count good-machine toggle / switching activity \
-                (reported via --metrics).")
-  in
   let run spec scale seed chains jobs compact_jobs no_compact out tester
       observe metrics_path trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
@@ -303,17 +309,11 @@ let generate_cmd =
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
       $ compact_jobs_arg $ no_compact $ out_arg $ tester_arg
-      $ observe $ metrics_arg $ trace_arg $ trace_format_arg)
+      $ observe_arg $ metrics_arg $ trace_arg $ trace_format_arg)
 
 (* ------------------------------------------------------------- compact *)
 
 let compact_cmd =
-  let seq_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"SEQFILE" ~doc:"Sequence file (one 01x vector per line).")
-  in
   let run spec scale seed chains jobs compact_jobs seqfile out metrics_path
       trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
@@ -350,7 +350,7 @@ let compact_cmd =
        ~doc:"Statically compact a test sequence (restoration, then omission).")
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
-      $ compact_jobs_arg $ seq_arg $ out_arg $ metrics_arg
+      $ compact_jobs_arg $ seqfile_arg $ out_arg $ metrics_arg
       $ trace_arg $ trace_format_arg)
 
 (* --------------------------------------------------------------- table *)
@@ -376,13 +376,6 @@ let table_cmd =
       value & flag
       & info [ "verbose"; "v" ]
           ~doc:"Also print per-circuit runtime and compaction statistics.")
-  in
-  let observe_arg =
-    Arg.(
-      value & flag
-      & info [ "observe" ]
-          ~doc:"Also count good-machine toggle / switching activity \
-                (reported via --metrics).")
   in
   let run which names scale csv jobs compact_jobs verbose observe metrics_path
       trace_path trace_format =
@@ -482,13 +475,6 @@ let run_cmd =
           ~doc:"Stop with exit code 4 right after $(docv) has checkpointed \
                 — an induced crash for resume testing.")
   in
-  let observe_arg =
-    Arg.(
-      value & flag
-      & info [ "observe" ]
-          ~doc:"Also count good-machine toggle / switching activity \
-                (reported via --metrics).")
-  in
   let run spec scale seed chains jobs compact_jobs observe deadline backtracks
       checkpoint resume every halt_after metrics_path trace_path trace_format =
     with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
@@ -555,12 +541,6 @@ let run_cmd =
 (* ------------------------------------------------------------ diagnose *)
 
 let diagnose_cmd =
-  let seq_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"SEQFILE" ~doc:"Sequence file (one 01x vector per line).")
-  in
   let inject_arg =
     Arg.(
       required
@@ -613,8 +593,8 @@ let diagnose_cmd =
        ~doc:"Rank stuck-at fault candidates against an observed failing \
              response (cause-effect diagnosis).")
     Term.(
-      const run $ circuit_arg $ scale_arg $ chains_arg $ seq_arg $ inject_arg
-      $ top_arg $ metrics_arg $ trace_arg $ trace_format_arg)
+      const run $ circuit_arg $ scale_arg $ chains_arg $ seqfile_arg
+      $ inject_arg $ top_arg $ metrics_arg $ trace_arg $ trace_format_arg)
 
 (* --------------------------------------------------------------- serve *)
 
@@ -630,6 +610,11 @@ let tcp_arg =
     & info [ "tcp" ] ~docv:"HOST:PORT"
         ~doc:"Use TCP instead of the Unix socket (opt-in; e.g. \
               127.0.0.1:7227).")
+
+let quiet_arg =
+  Arg.(
+    value & flag
+    & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle messages on stderr.")
 
 let parse_addr socket tcp =
   match tcp with
@@ -691,11 +676,6 @@ let serve_cmd =
       & info [ "drain-grace" ] ~docv:"SECONDS"
           ~doc:"On shutdown, let in-flight work run for $(docv) seconds \
                 before tripping its budgets (degraded but sound responses).")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle messages on stderr.")
   in
   let idle_arg =
     Arg.(
@@ -839,11 +819,6 @@ let router_cmd =
                 (daemon sites: accept, queue, worker, cache.compile, \
                 writer).")
   in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle messages on stderr.")
-  in
   let run socket tcp shards result_cache jobs cache_capacity grace
       chaos shard_chaos metrics_path quiet =
     let addr = parse_addr socket tcp in
@@ -864,13 +839,9 @@ let router_cmd =
       in
       Array.of_list argv
     in
-    let cfg =
-      Fleet.Router.default_config addr ~shards
-        ~launcher:(Fleet.Shard.Exec argv_of)
-    in
     Fleet.Router.run
       {
-        cfg with
+        (Fleet.Router.default_config addr ~shards ~launcher:argv_of) with
         Fleet.Router.result_cache_capacity = result_cache;
         drain_grace_s = grace;
         chaos;

@@ -6,17 +6,8 @@ module Json = Obs.Json
 type config = {
   addr : Daemon.addr;
   shards : int;
-  shard_socket : int -> string;
   launcher : Shard.launcher;
   result_cache_capacity : int;
-  max_inflight : int;
-  backlog_depth : int;
-  dispatch_attempts : int;
-  restart_backoff_ms : int;
-  restart_backoff_max_ms : int;
-  connect_timeout_s : float;
-  health_period_s : float;
-  health_timeout_s : float;
   drain_grace_s : float;
   chaos : string option;
   metrics_path : string option;
@@ -25,31 +16,37 @@ type config = {
 }
 
 let default_config addr ~shards ~launcher =
-  let base =
-    match addr with
-    | Daemon.Unix_sock path -> path
-    | Daemon.Tcp (host, port) -> Printf.sprintf "scanatpg-%s-%d" host port
-  in
   {
     addr;
     shards = max 1 shards;
-    shard_socket = (fun i -> Printf.sprintf "%s.shard%d" base i);
     launcher;
     result_cache_capacity = 256;
-    max_inflight = 64;
-    backlog_depth = 64;
-    dispatch_attempts = 3;
-    restart_backoff_ms = 100;
-    restart_backoff_max_ms = 5000;
-    connect_timeout_s = 10.0;
-    health_period_s = 2.0;
-    health_timeout_s = 10.0;
     drain_grace_s = 5.0;
     chaos = None;
     metrics_path = None;
     install_signals = true;
     verbose = false;
   }
+
+(* Supervision constants (DESIGN.md §15). *)
+let max_inflight = 64  (* per client connection, as the daemon's default *)
+let backlog_depth = 64  (* requests queued behind one down shard *)
+let dispatch_attempts = 3  (* deliveries per request across restarts *)
+let restart_backoff_ms = 100
+let restart_backoff_max_ms = 5000
+let connect_timeout_s = 10.0  (* spawn-to-connectable deadline *)
+let health_period_s = 2.0
+let health_timeout_s = 10.0
+
+(* Shard [i] listens on [<base>.shard<i>], [<base>] the router's socket
+   path (or a name derived from its TCP address). *)
+let shard_socket addr i =
+  let base =
+    match addr with
+    | Daemon.Unix_sock path -> path
+    | Daemon.Tcp (host, port) -> Printf.sprintf "scanatpg-%s-%d" host port
+  in
+  Printf.sprintf "%s.shard%d" base i
 
 (* --------------------------------------------------------------- state *)
 
@@ -171,7 +168,7 @@ let give_up st serial p =
    attempts cap stops a request that kills its shard from crash-looping
    the fleet forever. *)
 let requeue st sh serial p =
-  if p.p_attempts >= st.cfg.dispatch_attempts then give_up st serial p
+  if p.p_attempts >= dispatch_attempts then give_up st serial p
   else begin
     if p.p_attempts > 0 then bump st "router.redispatched" 1;
     Queue.push serial sh.s_backlog
@@ -179,7 +176,7 @@ let requeue st sh serial p =
 
 let kill_proc sh =
   match sh.s_proc with
-  | Some proc -> Shard.kill proc ~socket:sh.s_socket
+  | Some proc -> Shard.kill proc
   | None -> ()
 
 (* The shard is gone (process death, connection EOF, write failure,
@@ -214,7 +211,7 @@ let shard_down st sh reason =
   done;
   let now = Unix.gettimeofday () in
   sh.s_next_attempt <- now +. (float_of_int sh.s_backoff_ms /. 1000.0);
-  sh.s_backoff_ms <- min (sh.s_backoff_ms * 2) st.cfg.restart_backoff_max_ms
+  sh.s_backoff_ms <- min (sh.s_backoff_ms * 2) restart_backoff_max_ms
 
 (* Deliver one pending serial to its shard.  The [shard] failpoint
    models an injected shard crash on the dispatch path: the target's
@@ -252,9 +249,9 @@ let try_restart st sh now =
     (match sh.s_proc with
     | Some p when Shard.alive p ->
       (* spawned but not yet connectable; enforce the connect timeout *)
-      if now -. sh.s_spawned > st.cfg.connect_timeout_s then begin
+      if now -. sh.s_spawned > connect_timeout_s then begin
         say st "shard %d failed to come up in %.1fs, killing" sh.s_idx
-          st.cfg.connect_timeout_s;
+          connect_timeout_s;
         kill_proc sh
       end
     | _ ->
@@ -312,14 +309,14 @@ let supervise st now =
       | _ -> ());
       if sh.s_up then begin
         match sh.s_probe with
-        | Some _ when now -. sh.s_probe_sent > st.cfg.health_timeout_s ->
+        | Some _ when now -. sh.s_probe_sent > health_timeout_s ->
           bump st "router.health_timeouts" 1;
           say st "shard %d health probe timed out" sh.s_idx;
           kill_proc sh;
           shard_down st sh "health timeout"
         | Some _ -> ()
         | None ->
-          if now -. sh.s_last_probe >= st.cfg.health_period_s then
+          if now -. sh.s_last_probe >= health_period_s then
             issue_probe st sh now
       end
       else try_restart st sh now)
@@ -361,7 +358,7 @@ let handle_shard_frame st sh payload =
         sh.s_probe <- None;
         (* a healthy probe round-trip proves the shard stable: reset the
            restart backoff to its base *)
-        sh.s_backoff_ms <- st.cfg.restart_backoff_ms;
+        sh.s_backoff_ms <- restart_backoff_ms;
         bump st "router.probes_ok" 1
       | Client c ->
         (match c.ckey with
@@ -400,14 +397,6 @@ let handle_shard_readable st sh buf =
 
 (* ------------------------------------------------------------ requests *)
 
-let salvage_id payload =
-  match Json.parse payload with
-  | exception Json.Parse_error _ -> 0
-  | j -> (
-    match Option.bind (Json.member "id" j) Json.get_int with
-    | Some id -> id
-    | None -> 0)
-
 let shard_of st (c : Protocol.compute) =
   (* the same FNV-1a content key the compiled-circuit cache uses, so a
      circuit's requests pin to one shard and keep its LRU slice hot *)
@@ -433,61 +422,25 @@ let shards_json st =
                 "backlog", Json.Int (Queue.length sh.s_backlog) ])
           st.shards))
 
-(* The stats op answers from the router's own metrics plane (mirroring
-   the daemon's document shape so `scanatpg top` works unchanged), plus
-   a [result_cache] section and a per-shard supervision table.  Like the
+(* The stats op answers from the router's own metrics plane in the
+   daemon's document shape (so `scanatpg top` works unchanged), plus a
+   [result_cache] section and a per-shard supervision table.  Like the
    daemon's, the payload reports live state and is the documented
    exception to byte-determinism. *)
 let stats_payload st ~id ~prom =
-  let m = st.metrics in
-  if prom then
-    Json.to_string
-      (Json.Obj
-         [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-           "format", Json.Str "prometheus";
-           "text", Json.Str (Obs.Metrics.to_prometheus m) ])
-  else begin
-    let counters =
-      Json.Obj
-        (List.map
-           (fun (name, v) -> name, Json.Int v)
-           (Obs.Counters.to_alist (Obs.Metrics.counters m)))
-    in
-    let histograms =
-      Json.Obj
-        (List.map
-           (fun (name, h) ->
-             ( name,
-               Json.Obj
-                 [ "count", Json.Int (Obs.Hist.count h);
-                   "sum", Json.Int (Obs.Hist.sum h);
-                   "p50", Json.Int (Obs.Hist.percentile h 0.50);
-                   "p90", Json.Int (Obs.Hist.percentile h 0.90);
-                   "p95", Json.Int (Obs.Hist.percentile h 0.95);
-                   "p99", Json.Int (Obs.Hist.percentile h 0.99) ] ))
-           (Obs.Metrics.hists m))
-    in
-    let rs = Result_cache.stats st.rc in
-    Json.to_string
-      (Json.Obj
-         [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-           "counters", counters; "phases", Json.Obj [];
-           "histograms", histograms;
-           ( "result_cache",
-             Json.Obj
-               [ "entries", Json.Int (Result_cache.length st.rc);
-                 "capacity", Json.Int (Result_cache.capacity st.rc);
-                 "hits", Json.Int rs.Result_cache.hits;
-                 "misses", Json.Int rs.Result_cache.misses;
-                 "insertions", Json.Int rs.Result_cache.insertions;
-                 "evictions", Json.Int rs.Result_cache.evictions ] );
-           "shards", shards_json st ])
-  end
-
-let ok_ack ~id op =
-  Json.to_string
-    (Json.Obj
-       [ "id", Json.Int id; "op", Json.Str op; "status", Json.Str "ok" ])
+  let rs = Result_cache.stats st.rc in
+  Protocol.stats_response ~id ~prom
+    ~extra:
+      [ ( "result_cache",
+          Json.Obj
+            [ "entries", Json.Int (Result_cache.length st.rc);
+              "capacity", Json.Int (Result_cache.capacity st.rc);
+              "hits", Json.Int rs.Result_cache.hits;
+              "misses", Json.Int rs.Result_cache.misses;
+              "insertions", Json.Int rs.Result_cache.insertions;
+              "evictions", Json.Int rs.Result_cache.evictions ] );
+        "shards", shards_json st ]
+    st.metrics
 
 let reject st conn ~id reason =
   bump st "router.overloaded" 1;
@@ -496,7 +449,7 @@ let reject st conn ~id reason =
 let admit st conn (req : Protocol.request) (c : Protocol.compute) =
   let id = req.Protocol.id in
   if st.draining then reject st conn ~id "router is draining"
-  else if conn.inflight >= st.cfg.max_inflight then
+  else if conn.inflight >= max_inflight then
     reject st conn ~id "connection in-flight cap reached"
   else begin
     let ckey = Protocol.canonical_of_request ~id:0 ~drop_jobs:true req in
@@ -513,7 +466,7 @@ let admit st conn (req : Protocol.request) (c : Protocol.compute) =
       let sh = st.shards.(idx) in
       if
         (not sh.s_up)
-        && Queue.length sh.s_backlog >= st.cfg.backlog_depth
+        && Queue.length sh.s_backlog >= backlog_depth
       then reject st conn ~id (Printf.sprintf "shard %d backlog is full" idx)
       else begin
         let serial = st.serial in
@@ -545,7 +498,8 @@ let handle_payload st conn payload =
   match Protocol.request_of_string payload with
   | exception Protocol.Bad_request msg ->
     bump st "router.bad_request" 1;
-    send_client st conn (Protocol.error_response ~id:(salvage_id payload) "error" msg)
+    send_client st conn
+      (Protocol.error_response ~id:(Protocol.salvage_id payload) "error" msg)
   | req -> (
     let id = req.Protocol.id in
     match req.Protocol.op with
@@ -555,7 +509,7 @@ let handle_payload st conn payload =
        start the fanned-out drain. *)
     | Protocol.Ping ->
       bump st "server.accepted" 1;
-      send_client st conn (ok_ack ~id "ping")
+      send_client st conn (Protocol.ok_response ~id "ping")
     | Protocol.Stats { prom } ->
       bump st "server.accepted" 1;
       send_client st conn (stats_payload st ~id ~prom)
@@ -572,21 +526,10 @@ let handle_payload st conn payload =
       | Error msg ->
         bump st "router.bad_request" 1;
         send_client st conn (Protocol.error_response ~id "error" msg)
-      | Ok () ->
-        send_client st conn
-          (Json.to_string
-             (Json.Obj
-                [ "id", Json.Int id; "op", Json.Str "chaos";
-                  "status", Json.Str "ok";
-                  "active", Json.Str (Obs.Failpoint.describe st.fp);
-                  ( "fires",
-                    Json.Obj
-                      (List.map
-                         (fun (n, k) -> n, Json.Int k)
-                         (Obs.Failpoint.fires st.fp)) ) ])))
+      | Ok () -> send_client st conn (Protocol.chaos_response ~id st.fp))
     | Protocol.Shutdown ->
       bump st "server.accepted" 1;
-      send_client st conn (ok_ack ~id "shutdown");
+      send_client st conn (Protocol.ok_response ~id "shutdown");
       say st "shutdown requested";
       Atomic.set st.drain_flag true
     | Protocol.Generate { c; _ } | Protocol.Compact { c; _ }
@@ -602,7 +545,11 @@ let handle_client_readable st conn buf =
   in
   if n = 0 then begin
     conn.eof <- true;
-    if Protocol.pending conn.dec > 0 then bump st "router.bad_request" 1;
+    (* the peer hung up mid-frame: counted as the daemon counts it *)
+    if Protocol.pending conn.dec > 0 then begin
+      bump st "router.bad_request" 1;
+      bump st "router.conn_aborted" 1
+    end;
     if conn.inflight = 0 then close_cconn conn
   end
   else if n > 0 then begin
@@ -611,6 +558,7 @@ let handle_client_readable st conn buf =
       match Protocol.next conn.dec with
       | exception Protocol.Frame_too_large { announced; max } ->
         bump st "router.bad_request" 1;
+        bump st "router.conn_aborted" 1;
         send_client st conn
           (Protocol.error_response ~id:0 "error"
              (Printf.sprintf "frame of %d bytes exceeds maximum %d" announced
@@ -625,20 +573,6 @@ let handle_client_readable st conn buf =
   end
 
 (* ----------------------------------------------------------- lifecycle *)
-
-let listen_socket = function
-  | Daemon.Unix_sock path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Daemon.Tcp (host, port) ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-    Unix.listen fd 64;
-    fd
 
 let client_pending st =
   Hashtbl.fold
@@ -709,7 +643,7 @@ let drain st conns listen_fd buf =
         while Shard.alive proc && Unix.gettimeofday () < kill_at do
           Unix.sleepf 0.02
         done;
-        if Shard.alive proc then Shard.kill proc ~socket:sh.s_socket;
+        if Shard.alive proc then Shard.kill proc;
         Shard.reap proc;
         (try Unix.unlink sh.s_socket with Unix.Unix_error _ -> ()))
     st.shards;
@@ -740,7 +674,7 @@ let run cfg =
         Array.init cfg.shards (fun i ->
             {
               s_idx = i;
-              s_socket = cfg.shard_socket i;
+              s_socket = shard_socket cfg.addr i;
               s_proc = None;
               s_fd = None;
               s_dec = Protocol.decoder ();
@@ -749,7 +683,7 @@ let run cfg =
               s_up = false;
               s_started = false;
               s_next_attempt = 0.0;
-              s_backoff_ms = cfg.restart_backoff_ms;
+              s_backoff_ms = restart_backoff_ms;
               s_restarts = 0;
               s_spawned = 0.0;
               s_probe = None;
@@ -768,7 +702,7 @@ let run cfg =
     ignore (Sys.signal Sys.sigterm h);
     ignore (Sys.signal Sys.sigint h)
   end;
-  let listen_fd = listen_socket cfg.addr in
+  let listen_fd = Daemon.listen_socket cfg.addr in
   say st "routing %d shard(s), result cache capacity %d" cfg.shards
     cfg.result_cache_capacity;
   let buf = Bytes.create 65536 in

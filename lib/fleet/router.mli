@@ -35,19 +35,9 @@
 type config = {
   addr : Server.Daemon.addr;  (** front-end listen address *)
   shards : int;
-  shard_socket : int -> string;  (** Unix socket path of shard [i] *)
   launcher : Shard.launcher;
+      (** argv of shard [i], which listens on [<base>.shard<i>] *)
   result_cache_capacity : int;
-  max_inflight : int;  (** per client connection, as the daemon's *)
-  backlog_depth : int;
-      (** queued-behind-a-down-shard bound; beyond it requests get a
-          typed [overloaded] rejection *)
-  dispatch_attempts : int;  (** delivery cap per request across restarts *)
-  restart_backoff_ms : int;
-  restart_backoff_max_ms : int;
-  connect_timeout_s : float;  (** spawn-to-connectable deadline *)
-  health_period_s : float;
-  health_timeout_s : float;
   drain_grace_s : float;
   chaos : string option;  (** initial failpoint spec (sites above) *)
   metrics_path : string option;  (** router metrics document, at drain *)
@@ -55,8 +45,9 @@ type config = {
   verbose : bool;
 }
 
-(** Defaults mirror the daemon's where a knob exists on both sides;
-    shard sockets derive from the router address ([<path>.shard<i>]). *)
+(** Defaults: result cache 256, drain grace 5 s, no chaos, no metrics
+    file, signal handlers on, quiet.  The supervision parameters are
+    constants of the router, listed in DESIGN.md §15. *)
 val default_config :
   Server.Daemon.addr -> shards:int -> launcher:Shard.launcher -> config
 

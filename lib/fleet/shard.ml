@@ -1,80 +1,42 @@
-type launcher =
-  | Exec of (int -> string -> string array)
-  | Inproc of (string -> int)
-
-type kind =
-  | Pid of int
-  | Dom of { stopped : bool Atomic.t; dom : unit Domain.t }
+type launcher = int -> string -> string array
 
 type proc = {
-  kind : kind;
+  pid : int;
   mutable reaped : bool;
 }
 
-let spawn launcher ~idx ~socket =
-  match launcher with
-  | Exec argv_of ->
-    let argv = argv_of idx socket in
-    if Array.length argv = 0 then invalid_arg "Shard.spawn: empty argv";
-    (* A stale socket from a crashed predecessor is unlinked by the
-       daemon's own listen path; nothing to clean here. *)
-    let pid =
-      Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
-    in
-    { kind = Pid pid; reaped = false }
-  | Inproc main ->
-    let stopped = Atomic.make false in
-    let dom =
-      Domain.spawn (fun () ->
-          (try ignore (main socket) with _ -> ());
-          Atomic.set stopped true)
-    in
-    { kind = Dom { stopped; dom }; reaped = false }
+let spawn argv_of ~idx ~socket =
+  let argv = argv_of idx socket in
+  if Array.length argv = 0 then invalid_arg "Shard.spawn: empty argv";
+  (* A stale socket from a crashed predecessor is unlinked by the
+     daemon's own listen path; nothing to clean here. *)
+  let pid =
+    Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
+  in
+  { pid; reaped = false }
 
-(* [alive] doubles as the zombie reaper for process shards: a WNOHANG
-   waitpid that observes the exit also collects it, so the router's
-   per-tick sweep needs no separate wait pass. *)
+(* [alive] doubles as the zombie reaper: a WNOHANG waitpid that observes
+   the exit also collects it, so the router's per-tick sweep needs no
+   separate wait pass. *)
 let alive p =
   if p.reaped then false
   else
-    match p.kind with
-    | Pid pid -> (
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ -> true
-      | _ -> p.reaped <- true; false
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-        p.reaped <- true;
-        false)
-    | Dom { stopped; _ } -> not (Atomic.get stopped)
+    match Unix.waitpid [ Unix.WNOHANG ] p.pid with
+    | 0, _ -> true
+    | _ -> p.reaped <- true; false
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+      p.reaped <- true;
+      false
 
-(* Forced stop.  A process shard dies by SIGKILL — that is the
-   supervision contract under test.  A domain shard cannot be killed
-   from outside, so the best effort is a shutdown frame on a throwaway
-   connection: the daemon drains and the domain winds down; [alive]
-   flips once it does. *)
-let kill p ~socket =
-  match p.kind with
-  | Pid pid -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-  | Dom _ -> (
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-      (try
-         Unix.connect fd (Unix.ADDR_UNIX socket);
-         Server.Protocol.write_frame fd "{\"id\":0,\"op\":\"shutdown\"}"
-       with _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ()))
+(* Forced stop is SIGKILL — that is the supervision contract under
+   test. *)
+let kill p = try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ()
 
-(* Blocking collection at drain: join the domain / wait for the process
-   so no shard outlives the router. *)
+(* Blocking collection at drain, so no shard outlives the router. *)
 let reap p =
   if not p.reaped then begin
-    (match p.kind with
-    | Pid pid -> (
-      try ignore (Unix.waitpid [] pid)
-      with Unix.Unix_error _ -> ())
-    | Dom { dom; _ } -> ( try Domain.join dom with _ -> ()));
+    (try ignore (Unix.waitpid [] p.pid) with Unix.Unix_error _ -> ());
     p.reaped <- true
   end
 
-let pid p = match p.kind with Pid pid -> Some pid | Dom _ -> None
+let pid p = p.pid

@@ -1,43 +1,28 @@
 (** Backend shard lifecycle: spawn, liveness, forced stop (DESIGN.md §15).
 
-    A shard is one `scanatpg serve` daemon owned by the router.  Two
-    launch modes share one supervision surface:
+    A shard is one `scanatpg serve` daemon process owned by the router,
+    forked from an argv template (the `scanatpg router` subcommand
+    re-execs its own binary).  Liveness is a WNOHANG [waitpid] — which
+    also reaps the zombie — and a forced stop is SIGKILL, so injected
+    shard crashes exercise the genuine process-death path.  The router
+    restarts a shard whose [alive] turns false, with backoff. *)
 
-    - {!Exec} forks a real OS process from an argv template (the
-      `scanatpg router` subcommand re-execs its own binary).  Liveness
-      is a WNOHANG [waitpid] — which also reaps the zombie — and a
-      forced stop is SIGKILL, so injected shard crashes exercise the
-      genuine process-death path.
-    - {!Inproc} runs {!Server.Daemon.run} on a fresh domain inside the
-      calling process (tests and the bench harness, which must not
-      depend on a binary's path).  Liveness is a completion flag; a
-      domain cannot be killed from outside, so a forced stop degrades to
-      a best-effort shutdown frame and the daemon's own drain.
-
-    The router treats both identically: [alive] false → restart with
-    backoff. *)
-
-type launcher =
-  | Exec of (int -> string -> string array)
-      (** [argv_of idx socket]: argv for shard [idx] listening on
-          [socket]; [argv.(0)] is the executable path *)
-  | Inproc of (string -> int)
-      (** [main socket]: a blocking daemon entry (its exit code is
-          discarded), run on a spawned domain *)
+(** [argv_of idx socket]: argv for shard [idx] listening on [socket];
+    [argv.(0)] is the executable path. *)
+type launcher = int -> string -> string array
 
 type proc
 
+(** @raise Invalid_argument on an empty argv. *)
 val spawn : launcher -> idx:int -> socket:string -> proc
 
-(** Liveness probe; for {!Exec} shards this also reaps an exited child. *)
+(** Liveness probe; also reaps an exited child. *)
 val alive : proc -> bool
 
-(** Forced stop: SIGKILL for a process shard, a best-effort shutdown
-    frame to [socket] for a domain shard. *)
-val kill : proc -> socket:string -> unit
+(** Forced stop (SIGKILL). *)
+val kill : proc -> unit
 
-(** Blocking collection ([waitpid] / [Domain.join]); idempotent. *)
+(** Blocking [waitpid]; idempotent. *)
 val reap : proc -> unit
 
-(** The OS pid for {!Exec} shards, [None] for {!Inproc}. *)
-val pid : proc -> int option
+val pid : proc -> int

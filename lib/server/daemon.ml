@@ -283,18 +283,6 @@ let request_drain st =
   Mutex.unlock st.qmu;
   Atomic.set st.drain_flag true
 
-(* A malformed request must still be answered under the sender's id
-   whenever the payload parses as a JSON object with an integer [id] —
-   otherwise a pipelining client cannot correlate the failure and
-   reports the request as lost. *)
-let salvage_id payload =
-  match Obs.Json.parse payload with
-  | exception Obs.Json.Parse_error _ -> 0
-  | j -> (
-    match Option.bind (Obs.Json.member "id" j) Obs.Json.get_int with
-    | Some id -> id
-    | None -> 0)
-
 let handle_payload st conn payload =
   (* Trace ids are deterministic per connection: [c<cid>-r<n>] — every
      request on a connection shares the [c<cid>] prefix, and [n] counts
@@ -305,7 +293,7 @@ let handle_payload st conn payload =
   let enq_ns = Obs.Clock.now_ns () in
   match Protocol.request_of_string payload with
   | exception Protocol.Bad_request msg ->
-    let id = salvage_id payload in
+    let id = Protocol.salvage_id payload in
     Service.bump st.svc "server.bad_request" 1;
     let resp = Protocol.error_response ~id "error" msg in
     send st conn resp;

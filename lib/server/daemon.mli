@@ -89,6 +89,12 @@ type config = {
 
 val default_config : addr -> config
 
+(** [listen_socket addr] binds and listens on [addr] (backlog 64),
+    close-on-exec; a Unix socket path is unlinked first, so a stale
+    socket from a crashed predecessor never blocks the bind.  The
+    router listens through this too. *)
+val listen_socket : addr -> Unix.file_descr
+
 (** [run config] serves until drained; returns the process exit code
     (0 after a clean drain).  Blocks the calling domain. *)
 val run : config -> int

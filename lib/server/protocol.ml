@@ -340,8 +340,69 @@ let canonical_of_request ?(id = 0) ?drop_jobs (req : request) =
 
 (* ---------------------------------------------------------- responses *)
 
+(* A malformed request must still be answered under the sender's id
+   whenever the payload parses as a JSON object with an integer [id] —
+   otherwise a pipelining client cannot correlate the failure and
+   reports the request as lost. *)
+let salvage_id payload =
+  match Json.parse payload with
+  | exception Json.Parse_error _ -> 0
+  | j -> (
+    match Option.bind (Json.member "id" j) Json.get_int with
+    | Some id -> id
+    | None -> 0)
+
 let error_response ~id kind message =
   Json.to_string
     (Json.Obj
        [ "id", Json.Int id; "status", Json.Str kind;
          "error", Json.Str message ])
+
+(* Admin replies, rendered here once for the daemon and the router. *)
+
+let ok_head ~id op =
+  [ "id", Json.Int id; "op", Json.Str op; "status", Json.Str "ok" ]
+
+let ok_response ~id op = Json.to_string (Json.Obj (ok_head ~id op))
+
+let stats_response ~id ~prom ~extra m =
+  let body =
+    if prom then
+      [ "format", Json.Str "prometheus";
+        "text", Json.Str (Obs.Metrics.to_prometheus m) ]
+    else
+      let hist h =
+        Json.Obj
+          [ "count", Json.Int (Obs.Hist.count h);
+            "sum", Json.Int (Obs.Hist.sum h);
+            "p50", Json.Int (Obs.Hist.percentile h 0.50);
+            "p90", Json.Int (Obs.Hist.percentile h 0.90);
+            "p95", Json.Int (Obs.Hist.percentile h 0.95);
+            "p99", Json.Int (Obs.Hist.percentile h 0.99) ]
+      in
+      [ ( "counters",
+          Json.Obj
+            (List.map
+               (fun (name, v) -> name, Json.Int v)
+               (Obs.Counters.to_alist (Obs.Metrics.counters m))) );
+        ( "phases",
+          Json.Obj
+            (List.map
+               (fun (name, s) -> name, Json.Float s)
+               (Obs.Metrics.phases m)) );
+        ( "histograms",
+          Json.Obj
+            (List.map (fun (name, h) -> name, hist h) (Obs.Metrics.hists m)) ) ]
+      @ extra
+  in
+  Json.to_string (Json.Obj (ok_head ~id "stats" @ body))
+
+let chaos_response ~id fp =
+  Json.to_string
+    (Json.Obj
+       (ok_head ~id "chaos"
+       @ [ "active", Json.Str (Obs.Failpoint.describe fp);
+           ( "fires",
+             Json.Obj
+               (List.map (fun (n, k) -> n, Json.Int k) (Obs.Failpoint.fires fp))
+           ) ]))

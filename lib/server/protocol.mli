@@ -122,7 +122,35 @@ val canonical_of_request : ?id:int -> ?drop_jobs:bool -> request -> string
 
 (** {1 Responses} *)
 
+(** The request's [id] when [payload] parses as a JSON object with an
+    integer [id], else 0: the id a typed error for a malformed request
+    is answered under, so a pipelining client can still correlate it. *)
+val salvage_id : string -> int
+
 (** [error_response ~id kind message] renders the typed error payload
     [{"id":id,"status":kind,"error":message}]; [kind] is ["error"],
     ["overloaded"] or ["internal_error"]. *)
 val error_response : id:int -> string -> string -> string
+
+(** {1 Admin replies}
+
+    Rendered once here for the daemon and the router, so both answer
+    with the same document shapes.  These payloads report live state and
+    are the documented exception to byte-determinism (except [ping]). *)
+
+(** [ok_response ~id op] is the bare acknowledgement
+    [{"id":id,"op":op,"status":"ok"}] — the [ping] and [shutdown] reply. *)
+val ok_response : id:int -> string -> string
+
+(** [stats_response ~id ~prom ~extra m] renders the [stats] reply from
+    the metrics document [m]: with [prom], its Prometheus text under
+    ["text"]; otherwise ["counters"], ["phases"] and ["histograms"] (each
+    with [count], [sum] and [p50]/[p90]/[p95]/[p99]) followed by the
+    caller's own [extra] sections. *)
+val stats_response :
+  id:int -> prom:bool -> extra:(string * Obs.Json.t) list -> Obs.Metrics.t ->
+  string
+
+(** [chaos_response ~id fp] is the [chaos] reply: the installed spec
+    under ["active"] and the per-site fire counts under ["fires"]. *)
+val chaos_response : id:int -> Obs.Failpoint.t -> string

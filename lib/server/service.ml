@@ -304,60 +304,21 @@ let exec_table t ~budget ~trace ~id (c : Protocol.compute) =
   Json.to_string (Json.Obj fields), { status; op = "table"; circuit = name; cache = "-" }
 
 let exec_stats (t : t) ~id ~prom =
-  let m = metrics_snapshot t in
-  let payload =
-    if prom then
-      Json.to_string
-        (Json.Obj
-           [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-             "format", Json.Str "prometheus";
-             "text", Json.Str (Obs.Metrics.to_prometheus m) ])
-    else begin
-      let counters =
-        Json.Obj
-          (List.map
-             (fun (name, v) -> name, Json.Int v)
-             (Obs.Counters.to_alist (Obs.Metrics.counters m)))
-      in
-      let phases =
-        Json.Obj
-          (List.map (fun (name, s) -> name, Json.Float s) (Obs.Metrics.phases m))
-      in
-      let histograms =
-        Json.Obj
-          (List.map
-             (fun (name, h) ->
-               ( name,
-                 Json.Obj
-                   [ "count", Json.Int (Obs.Hist.count h);
-                     "sum", Json.Int (Obs.Hist.sum h);
-                     "p50", Json.Int (Obs.Hist.percentile h 0.50);
-                     "p90", Json.Int (Obs.Hist.percentile h 0.90);
-                     "p95", Json.Int (Obs.Hist.percentile h 0.95);
-                     "p99", Json.Int (Obs.Hist.percentile h 0.99) ] ))
-             (Obs.Metrics.hists m))
-      in
-      Json.to_string
-        (Json.Obj
-           [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-             "counters", counters; "phases", phases; "histograms", histograms;
-             ( "cache",
-               Json.Obj
-                 [ "entries", Json.Int (Cache.length t.cache);
-                   "capacity", Json.Int (Cache.capacity t.cache) ] ) ])
-    end
-  in
-  payload, { status = "ok"; op = "stats"; circuit = "-"; cache = "-" }
+  ( Protocol.stats_response ~id ~prom
+      ~extra:
+        [ ( "cache",
+            Json.Obj
+              [ "entries", Json.Int (Cache.length t.cache);
+                "capacity", Json.Int (Cache.capacity t.cache) ] ) ]
+      (metrics_snapshot t),
+    { status = "ok"; op = "stats"; circuit = "-"; cache = "-" } )
 
 let execute t ~budget ?(trace = Obs.Trace.null) (req : Protocol.request) =
   let id = req.Protocol.id in
   try
     match req.Protocol.op with
     | Protocol.Ping ->
-      ( Json.to_string
-          (Json.Obj
-             [ "id", Json.Int id; "op", Json.Str "ping";
-               "status", Json.Str "ok" ]),
+      ( Protocol.ok_response ~id "ping",
         { status = "ok"; op = "ping"; circuit = "-"; cache = "-" } )
     | Protocol.Stats { prom } -> exec_stats t ~id ~prom
     | Protocol.Chaos { spec } ->
@@ -366,22 +327,10 @@ let execute t ~budget ?(trace = Obs.Trace.null) (req : Protocol.request) =
       | Some s -> (
         try Obs.Failpoint.configure t.fp s
         with Invalid_argument msg -> raise (Protocol.Bad_request msg)));
-      ( Json.to_string
-          (Json.Obj
-             [ "id", Json.Int id; "op", Json.Str "chaos";
-               "status", Json.Str "ok";
-               "active", Json.Str (Obs.Failpoint.describe t.fp);
-               ( "fires",
-                 Json.Obj
-                   (List.map
-                      (fun (n, k) -> n, Json.Int k)
-                      (Obs.Failpoint.fires t.fp)) ) ]),
+      ( Protocol.chaos_response ~id t.fp,
         { status = "ok"; op = "chaos"; circuit = "-"; cache = "-" } )
     | Protocol.Shutdown ->
-      ( Json.to_string
-          (Json.Obj
-             [ "id", Json.Int id; "op", Json.Str "shutdown";
-               "status", Json.Str "ok" ]),
+      ( Protocol.ok_response ~id "shutdown",
         { status = "ok"; op = "shutdown"; circuit = "-"; cache = "-" } )
     | Protocol.Generate { c; compact; return_sequence } ->
       exec_generate t ~budget ~trace ~id c ~compact ~return_sequence

@@ -82,32 +82,22 @@ let test_canonical_drop_jobs_key () =
 
 (* -------------------------------------------------------------- router *)
 
-let shard_main socket =
-  Server.Daemon.run
-    {
-      (Server.Daemon.default_config (Server.Daemon.Unix_sock socket)) with
-      Server.Daemon.install_signals = false;
-      verbose = false;
-    }
-
-(* Shards as real processes of the built CLI (a dune dependency of this
+(* Shards are real processes of the built CLI (a dune dependency of this
    test, next to it in the build tree), so a shard kill is a SIGKILL. *)
-let exec_shards =
+let shard_argv =
   let exe =
     List.fold_left Filename.concat
       (Filename.dirname Sys.executable_name)
       [ ".."; "bin"; "scanatpg.exe" ]
   in
-  Fleet.Shard.Exec
-    (fun _ socket -> [| exe; "serve"; "--socket"; socket; "--quiet" |])
+  fun _ socket -> [| exe; "serve"; "--socket"; socket; "--quiet" |]
 
-let with_router ?(shards = 2) ?(result_cache_capacity = 256)
-    ?(launcher = Fleet.Shard.Inproc shard_main) ?chaos f =
+let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
   let sock = Filename.temp_file "scanatpg_fleet" ".sock" in
   let addr = Server.Daemon.Unix_sock sock in
   let cfg =
     {
-      (Fleet.Router.default_config addr ~shards ~launcher)
+      (Fleet.Router.default_config addr ~shards ~launcher:shard_argv)
       with
       Fleet.Router.result_cache_capacity;
       chaos;
@@ -266,24 +256,111 @@ let test_router_result_cache_hit () =
           Alcotest.(check int) "one miss" 1
             (counter stats "server.result_miss")))
 
+let sock_path = function
+  | Server.Daemon.Unix_sock path -> path
+  | Server.Daemon.Tcp _ -> assert false
+
+let has_keys what keys j =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s has %s" what k)
+        true
+        (J.member k j <> None))
+    keys
+
 let test_router_bypass_ops () =
   (* ping is answered inline, stats snapshots live state, chaos mutates
-     it: none may touch the result cache *)
+     it: none may touch the result cache.  The replies come from the
+     renderer the daemon uses, so they have the daemon's shapes. *)
   with_router ~shards:1 (fun addr ->
       let c = Server.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
         (fun () ->
-          ignore (Server.Client.call c {|{"id":1,"op":"ping"}|});
+          let ping = Server.Client.call c {|{"id":1,"op":"ping"}|} in
           ignore (Server.Client.call c {|{"id":2,"op":"ping"}|});
           ignore (Server.Client.call c {|{"id":3,"op":"stats"}|});
           ignore (Server.Client.call c {|{"id":4,"op":"chaos","spec":"off"}|});
-          ignore (Server.Client.call c {|{"id":5,"op":"chaos","spec":"off"}|});
+          let chaos =
+            Server.Client.call c {|{"id":5,"op":"chaos","spec":"off"}|}
+          in
           let stats = router_stats addr in
           Alcotest.(check int) "no result-cache hits" 0
             (counter stats "server.result_hit");
           Alcotest.(check int) "no result-cache misses" 0
-            (counter stats "server.result_miss")))
+            (counter stats "server.result_miss");
+          has_keys "chaos reply" [ "active"; "fires" ] (J.parse chaos);
+          (* the 1-shard router's shard is a daemon on <socket>.shard0 *)
+          let d =
+            Server.Client.connect
+              (Server.Daemon.Unix_sock (sock_path addr ^ ".shard0"))
+          in
+          Fun.protect
+            ~finally:(fun () -> Server.Client.close d)
+            (fun () ->
+              Alcotest.(check string) "ping byte-identical to a daemon's"
+                (Server.Client.call d {|{"id":1,"op":"ping"}|})
+                ping);
+          (* one routed request, so the router has a histogram to render *)
+          ignore
+            (Server.Client.call c {|{"id":6,"op":"generate","circuit":"s27"}|});
+          let stats = J.parse (router_stats addr) in
+          has_keys "stats reply"
+            [ "counters"; "phases"; "histograms"; "result_cache"; "shards" ]
+            stats;
+          match J.member "histograms" stats with
+          | Some (J.Obj (_ :: _ as hists)) ->
+            List.iter
+              (fun (name, h) ->
+                has_keys ("histogram " ^ name)
+                  [ "count"; "sum"; "p50"; "p90"; "p95"; "p99" ]
+                  h)
+              hists
+          | _ -> Alcotest.fail "stats reply has no histograms"))
+
+let test_router_midframe_disconnect_accounted () =
+  (* a client that hangs up mid-frame, and one that announces an
+     oversized frame, are each counted as a bad request and a connection
+     abort — the router's counters mirror the daemon's server.* pair *)
+  with_router ~shards:1 (fun addr ->
+      let sock = sock_path addr in
+      let send bytes =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        fd
+      in
+      let wait_for name n =
+        let rec go k =
+          let v = counter (router_stats addr) name in
+          if v >= n || k = 0 then v
+          else begin
+            Unix.sleepf 0.05;
+            go (k - 1)
+          end
+        in
+        go 40
+      in
+      (* two bytes of a header, then vanish *)
+      Unix.close (send "\x00\x00");
+      Alcotest.(check int) "mid-frame EOF counted as a connection abort" 1
+        (wait_for "router.conn_aborted" 1);
+      Alcotest.(check int) "and as a bad request" 1
+        (counter (router_stats addr) "router.bad_request");
+      (* a length prefix past the 16 MiB ceiling: read the typed error
+         before hanging up, so its write cannot fail and add an abort *)
+      let fd = send "\x7f\xff\xff\xff" in
+      (match P.read_frame fd with
+      | Some reply ->
+        Alcotest.(check (option string)) "typed error" (Some "error")
+          (Option.bind (J.member "status" (J.parse reply)) J.get_str)
+      | None -> Alcotest.fail "no reply to an oversized frame");
+      Unix.close fd;
+      Alcotest.(check int) "oversized frame counted as a connection abort" 2
+        (wait_for "router.conn_aborted" 2);
+      Alcotest.(check int) "and as a bad request" 2
+        (counter (router_stats addr) "router.bad_request"))
 
 let test_router_result_cache_eviction () =
   (* capacity 1: alternating keys never hit *)
@@ -311,7 +388,7 @@ let test_router_result_cache_eviction () =
 let test_router_shard_crash_typed_outcomes () =
   (* kill the dispatch target once: the request is redispatched after
      the restart and the client still sees exactly one ok response *)
-  with_router ~shards:2 ~launcher:exec_shards ~chaos:"seed=11;shard=crash#1"
+  with_router ~shards:2 ~chaos:"seed=11;shard=crash#1"
     (fun addr ->
       let outcomes =
         batch addr
@@ -404,6 +481,8 @@ let () =
           Alcotest.test_case "result-cache hit byte-identity" `Quick
             test_router_result_cache_hit;
           Alcotest.test_case "bypass ops" `Quick test_router_bypass_ops;
+          Alcotest.test_case "mid-frame disconnect accounted" `Quick
+            test_router_midframe_disconnect_accounted;
           Alcotest.test_case "result-cache eviction" `Quick
             test_router_result_cache_eviction;
           Alcotest.test_case "shard crash, typed outcomes" `Quick
