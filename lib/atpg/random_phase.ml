@@ -38,10 +38,9 @@ let run ?(record = fun _ -> ()) ?(budget = Obs.Budget.unlimited) session model
       (* Fork a probe from the live session; keep the burst only if it buys
          new detections. *)
       let probe =
-        Faultsim.create
-          ~good_state:(Faultsim.good_state session)
-          ~faulty_states:(Faultsim.faulty_state session)
-          model ~fault_ids:targets
+        Faultsim.of_snapshot
+          (Faultsim.snapshot ~fault_ids:targets session)
+          ~fault_ids:targets
       in
       Faultsim.advance probe burst;
       if Faultsim.detected_count probe > 0 then begin

@@ -28,15 +28,10 @@ let mutate rng v =
   done;
   v
 
-(* Score of applying [vec] from the session's current states: detections
+(* Score of applying [vec] from the captured session states: detections
    weigh heaviest, then newly latched fault effects. *)
-let score session model targets vec =
-  let probe =
-    Faultsim.create
-      ~good_state:(Faultsim.good_state session)
-      ~faulty_states:(Faultsim.faulty_state session)
-      model ~fault_ids:targets
-  in
+let score snap targets vec =
+  let probe = Faultsim.of_snapshot snap ~fault_ids:targets in
   Faultsim.advance probe [| vec |];
   (10_000 * Faultsim.detected_count probe) + Faultsim.effect_bits probe
 
@@ -57,9 +52,10 @@ let extend session model ~scan_sel_position ~rng cfg =
           else mutate rng !previous)
     in
     let best = ref pool.(0) and best_score = ref min_int in
+    let snap = Faultsim.snapshot ~fault_ids:targets session in
     Array.iter
       (fun vec ->
-        let s = score session model targets vec in
+        let s = score snap targets vec in
         if s > !best_score then begin
           best_score := s;
           best := vec

@@ -19,10 +19,8 @@ let widen scan vectors =
 let test scan model ~fault_ids t =
   if Array.length fault_ids = 0 then [||]
   else begin
-    let state = t.Scan_test.scan_in in
     let session =
-      Faultsim.create ~good_state:state ~faulty_states:(fun _ -> state) model
-        ~fault_ids
+      Faultsim.create ~good_state:t.Scan_test.scan_in model ~fault_ids
     in
     Faultsim.advance session (widen scan t.Scan_test.vectors);
     let detected = ref [] in

@@ -6,6 +6,7 @@ type t = {
   base : Circuit.t;
   circuit : Circuit.t;
   levelize : Levelize.t;
+  plan : Netlist.Plan.t;
   scoap : Netlist.Scoap.t;
   faults : Fault.t array;
   fault_node : int array;
@@ -61,10 +62,12 @@ let build base =
       faults
   in
   let fault_stuck = Array.map (fun f -> f.Fault.stuck) faults in
+  let levelize = Levelize.of_circuit circuit in
   {
     base;
     circuit;
-    levelize = Levelize.of_circuit circuit;
+    levelize;
+    plan = Netlist.Plan.compile circuit levelize;
     scoap = Netlist.Scoap.compute circuit;
     faults;
     fault_node;

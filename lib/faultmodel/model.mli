@@ -12,6 +12,9 @@ type t = private {
   base : Netlist.Circuit.t;
   circuit : Netlist.Circuit.t;  (** elaborated circuit the simulators run on *)
   levelize : Netlist.Levelize.t;  (** of [circuit] *)
+  plan : Netlist.Plan.t;
+  (** flat simulation plan of [circuit], shared by every fault-simulation
+      session *)
   scoap : Netlist.Scoap.t;  (** SCOAP measures of [circuit], for ATPG guidance *)
   faults : Fault.t array;  (** collapsed representatives, expressed on [base] *)
   fault_node : int array;  (** per fault: node id in [circuit] to force *)

@@ -1,7 +1,5 @@
-module Circuit = Netlist.Circuit
-module Gate = Netlist.Gate
 module Logic = Netlist.Logic
-module Levelize = Netlist.Levelize
+module Plan = Netlist.Plan
 module Model = Faultmodel.Model
 module View = Vectors.View
 
@@ -61,21 +59,24 @@ type group = {
   inj_dff : int array;  (* dff indices whose node carries an injection *)
 }
 
-(* Per-worker evaluation state.  [wz]/[wo] hold a node's absolute words only
-   while [stamp] equals the current [epoch]; any other node implicitly holds
-   the frame's good-value broadcast ([gw0]/[gw1]).  One epoch per
-   (group, frame), so nothing is ever cleared. *)
+(* Per-domain evaluation state, sized for any plan of at most [Array.length
+   wz] nodes and [Array.length qlen] levels.  [gw0]/[gw1] hold the frame's
+   good machine as broadcast words (all-ones or zero per rail).  During a
+   group frame [wz]/[wo] hold the group's divergence from that broadcast;
+   one epoch per (group, frame), so [qstamp] is never cleared.  Between
+   advances a scratch is clean: [wz]/[wo]/[mz]/[mo] all zero, [qlen] all
+   zero and every [qstamp] below [epoch]. *)
 type scratch = {
   wz : int array;
   wo : int array;
   mz : int array;  (* per-node injection masks while a group runs *)
   mo : int array;
-  gw0 : int array;  (* good-value broadcast words of the current frame *)
+  gw0 : int array;
   gw1 : int array;
   qstamp : int array;  (* epoch at which a node was last enqueued *)
   mutable epoch : int;
-  queue : int array array;  (* per level: pending gate ids *)
-  qlen : int array;
+  queue : int array;  (* pending gate ids; level [l] at [Plan.level_off.(l)] *)
+  qlen : int array;  (* per level *)
   touched : int array;  (* nodes stamped this epoch, for the latch walk *)
   mutable ntouched : int;
   (* Telemetry staging: zeroed when a worker starts, flushed into the
@@ -91,21 +92,10 @@ type scratch = {
 
 type t = {
   model : Model.t;
+  plan : Plan.t;
   jobs : int;
-  order : int array;
-  level : int array;
-  depth : int;
-  inputs : int array;
-  outputs : int array;
-  dffs : int array;
-  dff_fanin : int array;
-  dff_feed_off : int array;  (* node -> CSR range into [dff_feed] *)
-  dff_feed : int array;  (* dff indices latched from that node *)
-  dff_index : int array;  (* node -> dff slot, -1 for non-flip-flops *)
-  kinds : Gate.kind array;
-  fanins : int array array;
-  comb_fanouts : int array array;  (* fanouts minus flip-flops (latch step) *)
-  good : Goodsim.t;
+  good0 : int array;  (* per dff index: good state, broadcast words *)
+  good1 : int array;
   budget : Obs.Budget.t;
   fault_ids : int array;  (* the targeted faults, in the caller's order *)
   mutable groups : group array;  (* repacking may rewrite the array *)
@@ -114,30 +104,27 @@ type t = {
   det_time : int array;  (* fault id -> frame, -1 undetected *)
   mutable detected : int;
   mutable time : int;
-  scratch : scratch;  (* the calling domain's worker state *)
   stats : stats;
   observe : bool;  (* count good-machine toggle / WSA activity *)
-  prev_good : Logic.t array;  (* last frame's good values ([||] unless observing) *)
-  fanout_count : int array;  (* node -> fanout count ([||] unless observing) *)
+  prev_good : int array;
+  (* last frame's good value per node, 0 = X, 1 = zero, 2 = one ([||]
+     unless observing) *)
   frame_toggles : Obs.Hist.t;  (* per-frame toggle counts (observe mode) *)
 }
 
-let make_scratch model =
-  let c = model.Model.circuit in
-  let n = Circuit.node_count c in
-  let lv = model.Model.levelize in
+let make_scratch ~nodes ~levels =
   {
-    wz = Array.make n 0;
-    wo = Array.make n 0;
-    mz = Array.make n 0;
-    mo = Array.make n 0;
-    gw0 = Array.make n 0;
-    gw1 = Array.make n 0;
-    qstamp = Array.make n 0;
+    wz = Array.make nodes 0;
+    wo = Array.make nodes 0;
+    mz = Array.make nodes 0;
+    mo = Array.make nodes 0;
+    gw0 = Array.make nodes 0;
+    gw1 = Array.make nodes 0;
+    qstamp = Array.make nodes 0;
     epoch = 0;
-    queue = Array.map (fun cnt -> Array.make cnt 0) lv.Levelize.level_counts;
-    qlen = Array.make (lv.Levelize.depth + 1) 0;
-    touched = Array.make n 0;
+    queue = Array.make nodes 0;
+    qlen = Array.make levels 0;
+    touched = Array.make nodes 0;
     ntouched = 0;
     s_gframes = 0;
     s_events = 0;
@@ -145,6 +132,28 @@ let make_scratch model =
     s_kills = 0;
     s_repacks = 0;
   }
+
+(* Each domain keeps at most one scratch, lent to one advance at a time:
+   [borrow] takes it out of the slot (growing it when the plan does not
+   fit, so sessions of different models alternate on one high-water
+   scratch) and [release] puts it back.  An advance that raises never
+   releases, so a scratch left mid-frame is dropped rather than reused.
+   The daemon and the speculative map run sessions on domains, never on
+   threads sharing one, so the slot needs no lock. *)
+let slot : scratch option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let borrow (p : Plan.t) =
+  let held = Domain.DLS.get slot in
+  Domain.DLS.set slot None;
+  match held with
+  | Some sc when Array.length sc.wz >= p.nodes && Array.length sc.qlen > p.depth
+    -> sc
+  | Some sc ->
+    make_scratch ~nodes:(max p.nodes (Array.length sc.wz))
+      ~levels:(max (p.depth + 1) (Array.length sc.qlen))
+  | None -> make_scratch ~nodes:p.nodes ~levels:(p.depth + 1)
+
+let release sc = Domain.DLS.set slot (Some sc)
 
 let reset_sstats sc =
   sc.s_gframes <- 0;
@@ -163,33 +172,34 @@ let flush_sstats stats (gframes, events, wakeups, kills, repacks) =
 let read_sstats sc =
   (sc.s_gframes, sc.s_events, sc.s_wakeups, sc.s_kills, sc.s_repacks)
 
-(* Injection tables of one word of faults: per distinct site, the
-   stuck-at-1/0 machine masks, plus the dff slots among the sites. *)
-let build_injections model dff_index ids =
-  let inj = Hashtbl.create 16 in
+(* Injection tables of one word of faults: per distinct site (ascending
+   node id), the stuck-at-1/0 machine masks, plus the dff slots among the
+   sites. *)
+let build_injections model (p : Plan.t) ids =
+  let node slot = model.Model.fault_node.(ids.(slot)) in
+  let slots = Array.init (Array.length ids) Fun.id in
+  Array.sort (fun a b -> Int.compare (node a) (node b)) slots;
+  let sites = ref 0 in
   Array.iteri
-    (fun slot fid ->
-      let node = model.Model.fault_node.(fid) in
-      let m1, m0 =
-        match Hashtbl.find_opt inj node with
-        | Some p -> p
-        | None -> 0, 0
-      in
-      let bit = 1 lsl slot in
-      let p =
-        if model.Model.fault_stuck.(fid) then m1 lor bit, m0
-        else m1, m0 lor bit
-      in
-      Hashtbl.replace inj node p)
-    ids;
-  let inj_nodes = Array.of_seq (Hashtbl.to_seq_keys inj) in
-  Array.sort compare inj_nodes;
-  let inj1 = Array.map (fun nd -> fst (Hashtbl.find inj nd)) inj_nodes in
-  let inj0 = Array.map (fun nd -> snd (Hashtbl.find inj nd)) inj_nodes in
+    (fun i slot -> if i = 0 || node slot <> node slots.(i - 1) then incr sites)
+    slots;
+  let inj_nodes = Array.make !sites 0 in
+  let inj1 = Array.make !sites 0 and inj0 = Array.make !sites 0 in
+  let j = ref (-1) in
+  Array.iteri
+    (fun i slot ->
+      if i = 0 || node slot <> node slots.(i - 1) then begin
+        incr j;
+        inj_nodes.(!j) <- node slot
+      end;
+      if model.Model.fault_stuck.(ids.(slot)) then
+        inj1.(!j) <- inj1.(!j) lor (1 lsl slot)
+      else inj0.(!j) <- inj0.(!j) lor (1 lsl slot))
+    slots;
   let inj_dff =
     Array.of_list
       (List.filter_map
-         (fun nd -> if dff_index.(nd) >= 0 then Some dff_index.(nd) else None)
+         (fun nd -> if p.dff_index.(nd) >= 0 then Some p.dff_index.(nd) else None)
          (Array.to_list inj_nodes))
   in
   inj_nodes, inj1, inj0, inj_dff
@@ -202,47 +212,14 @@ let block_hook : (int -> unit) ref = ref (fun _ -> ())
 let set_block_hook f = block_hook := f
 let clear_block_hook () = block_hook := fun _ -> ()
 
-let create ?good_state ?faulty_states ?(jobs = 1)
-    ?(observe = false) ?(budget = Obs.Budget.unlimited) model ~fault_ids =
-  let c = model.Model.circuit in
-  let dffs = Circuit.dffs c in
-  let nff = Array.length dffs in
-  let n = Circuit.node_count c in
-  let dff_index = Array.make n (-1) in
-  Array.iteri (fun k id -> dff_index.(id) <- k) dffs;
-  (* CSR map: node -> dff slots it drives (several flip-flops may share a
-     fanin).  The event engine's latch walks only the frame's touched nodes
-     through this map instead of scanning every flip-flop. *)
-  let dff_fanin =
-    Array.map (fun ff -> (Circuit.node c ff).Circuit.fanins.(0)) dffs
-  in
-  let dff_feed_off = Array.make (n + 1) 0 in
-  Array.iter
-    (fun d -> dff_feed_off.(d + 1) <- dff_feed_off.(d + 1) + 1)
-    dff_fanin;
-  for i = 0 to n - 1 do
-    dff_feed_off.(i + 1) <- dff_feed_off.(i + 1) + dff_feed_off.(i)
-  done;
-  let dff_feed = Array.make nff 0 in
-  let fill = Array.copy dff_feed_off in
-  Array.iteri
-    (fun k d ->
-      dff_feed.(fill.(d)) <- k;
-      fill.(d) <- fill.(d) + 1)
-    dff_fanin;
+(* A session over [fault_ids] starting from the good state words
+   [good0]/[good1].  [load ids fzero fone] writes each slot's initial
+   flip-flop state into a fresh group's words; every flip-flop starts
+   dirty, so the first frame seeds from exactly those words. *)
+let session ~jobs ~observe ~budget model ~good0 ~good1 ~fault_ids ~load =
+  let p = model.Model.plan in
+  let nff = Array.length p.dffs in
   let fault_total = Model.fault_count model in
-  let good = Goodsim.create ~levelize:model.Model.levelize c in
-  let good_state =
-    match good_state with
-    | Some s -> s
-    | None -> Array.make nff Logic.X
-  in
-  Goodsim.set_state good good_state;
-  let faulty_state_of =
-    match faulty_states with
-    | Some f -> f
-    | None -> fun _ -> good_state
-  in
   let ngroups = (Array.length fault_ids + width - 1) / width in
   let group_of = Array.make fault_total (-1) in
   let slot_of = Array.make fault_total (-1) in
@@ -259,21 +236,8 @@ let create ?good_state ?faulty_states ?(jobs = 1)
             slot_of.(fid) <- slot)
           ids;
         let fzero = Array.make nff 0 and fone = Array.make nff 0 in
-        Array.iteri
-          (fun slot fid ->
-            let st = faulty_state_of fid in
-            let bit = 1 lsl slot in
-            Array.iteri
-              (fun k v ->
-                match v with
-                | Logic.Zero -> fzero.(k) <- fzero.(k) lor bit
-                | Logic.One -> fone.(k) <- fone.(k) lor bit
-                | Logic.X -> ())
-              st)
-          ids;
-        let inj_nodes, inj1, inj0, inj_dff =
-          build_injections model dff_index ids
-        in
+        load ids fzero fone;
+        let inj_nodes, inj1, inj0, inj_dff = build_injections model p ids in
         { ids; active = (if len = width then full else (1 lsl len) - 1);
           fzero; fone; inj_nodes; inj1; inj0;
           dirty = Array.init nff (fun k -> k);
@@ -283,26 +247,10 @@ let create ?good_state ?faulty_states ?(jobs = 1)
   in
   {
     model;
+    plan = p;
     jobs = max 1 jobs;
-    order = model.Model.levelize.Levelize.order;
-    level = model.Model.levelize.Levelize.level;
-    depth = model.Model.levelize.Levelize.depth;
-    inputs = Circuit.inputs c;
-    outputs = Circuit.outputs c;
-    dffs;
-    dff_fanin;
-    dff_feed_off;
-    dff_feed;
-    dff_index;
-    kinds = Array.map (fun nd -> nd.Circuit.kind) (Circuit.nodes c);
-    fanins = Array.map (fun nd -> nd.Circuit.fanins) (Circuit.nodes c);
-    comb_fanouts =
-      Array.init n (fun nd ->
-          Array.of_list
-            (List.filter
-               (fun m -> (Circuit.node c m).Circuit.kind <> Gate.Dff)
-               (Array.to_list (Circuit.fanout c nd))));
-    good;
+    good0;
+    good1;
     budget;
     fault_ids = Array.copy fault_ids;
     groups;
@@ -311,40 +259,170 @@ let create ?good_state ?faulty_states ?(jobs = 1)
     det_time = Array.make fault_total (-1);
     detected = 0;
     time = 0;
-    scratch = make_scratch model;
     stats = make_stats ();
     observe;
-    prev_good = (if observe then Array.make n Logic.X else [||]);
-    fanout_count =
-      (if observe then
-         Array.init n (fun nd -> Array.length (Circuit.fanout c nd))
-       else [||]);
+    prev_good = (if observe then Array.make p.nodes 0 else [||]);
     frame_toggles = Obs.Hist.create ();
   }
+
+let words_of_state nff st =
+  if Array.length st <> nff then
+    invalid_arg "Faultsim.create: state length mismatch";
+  let z = Array.make nff 0 and o = Array.make nff 0 in
+  Array.iteri
+    (fun k v ->
+      match v with
+      | Logic.Zero -> z.(k) <- full
+      | Logic.One -> o.(k) <- full
+      | Logic.X -> ())
+    st;
+  z, o
+
+(* Every slot of a fresh group at the good state words [g0]/[g1]. *)
+let load_good g0 g1 ids fzero fone =
+  let amask = (1 lsl Array.length ids) - 1 in
+  for k = 0 to Array.length g0 - 1 do
+    fzero.(k) <- g0.(k) land amask;
+    fone.(k) <- g1.(k) land amask
+  done
+
+let create ?good_state ?faulty_states ?(jobs = 1)
+    ?(observe = false) ?(budget = Obs.Budget.unlimited) model ~fault_ids =
+  let nff = Array.length model.Model.plan.Plan.dffs in
+  let good0, good1 =
+    match good_state with
+    | Some s -> words_of_state nff s
+    | None -> Array.make nff 0, Array.make nff 0
+  in
+  let load =
+    match faulty_states with
+    | None -> load_good good0 good1
+    | Some state_of ->
+      fun ids fzero fone ->
+        Array.iteri
+          (fun slot fid ->
+            let st = state_of fid in
+            if Array.length st <> nff then
+              invalid_arg "Faultsim.create: state length mismatch";
+            let bit = 1 lsl slot in
+            Array.iteri
+              (fun k v ->
+                match v with
+                | Logic.Zero -> fzero.(k) <- fzero.(k) lor bit
+                | Logic.One -> fone.(k) <- fone.(k) lor bit
+                | Logic.X -> ())
+              st)
+          ids
+  in
+  session ~jobs ~observe ~budget model ~good0 ~good1 ~fault_ids ~load
 
 let time t = t.time
 
 (* Toggle / weighted-switching activity of the good machine, counted right
-   after its step.  Only the session domain calls this (spawned workers
+   after its frame.  Only the session domain calls this (spawned workers
    merely replay the good trace), so plain mutation of [t.stats] is safe
    and the totals never depend on [jobs].  A toggle is a binary-to-opposite
    transition; X transitions carry no defined switching energy.  The WSA
-   weight [1 + fanouts] is the usual gate-plus-fanout capacitance proxy. *)
-let count_activity t gsim =
+   weight [1 + fanouts] is the usual gate-plus-fanout capacitance proxy,
+   with fanouts counted as distinct sink nodes (gates and flip-flops). *)
+let count_activity t sc =
+  let p = t.plan in
   let prev = t.prev_good in
   let toggles = ref 0 and wsa = ref 0 in
   for nd = 0 to Array.length prev - 1 do
-    let v = Goodsim.value gsim nd in
-    (match prev.(nd), v with
-     | Logic.Zero, Logic.One | Logic.One, Logic.Zero ->
-       incr toggles;
-       wsa := !wsa + 1 + t.fanout_count.(nd)
-     | _ -> ());
+    let v =
+      if sc.gw0.(nd) <> 0 then 1 else if sc.gw1.(nd) <> 0 then 2 else 0
+    in
+    if prev.(nd) lor v = 3 then begin
+      incr toggles;
+      wsa :=
+        !wsa + 1
+        + (p.fanout_off.(nd + 1) - p.fanout_off.(nd))
+        + (p.dff_feed_off.(nd + 1) - p.dff_feed_off.(nd))
+    end;
     prev.(nd) <- v
   done;
   t.stats.toggles <- t.stats.toggles + !toggles;
   t.stats.wsa <- t.stats.wsa + !wsa;
   Obs.Hist.observe t.frame_toggles !toggles
+
+(* ------------------------------------------------------- good machine *)
+
+(* One frame of the fault-free machine straight into the broadcast words:
+   every node's two rails as all-ones/zero words, gates evaluated in
+   level order over the plan, then the next state latched into
+   [good0]/[good1] (the flip-flop nodes keep this frame's values in
+   [gw0]/[gw1]). *)
+let good_frame (p : Plan.t) sc good0 good1 vec =
+  if Array.length vec <> Array.length p.inputs then
+    invalid_arg "Faultsim: vector length mismatch";
+  let gw0 = sc.gw0 and gw1 = sc.gw1 in
+  let fin = p.fanin and off = p.fanin_off in
+  Array.iteri
+    (fun i id ->
+      match vec.(i) with
+      | Logic.Zero ->
+        gw0.(id) <- full;
+        gw1.(id) <- 0
+      | Logic.One ->
+        gw0.(id) <- 0;
+        gw1.(id) <- full
+      | Logic.X ->
+        gw0.(id) <- 0;
+        gw1.(id) <- 0)
+    p.inputs;
+  let dffs = p.dffs in
+  for k = 0 to Array.length dffs - 1 do
+    gw0.(dffs.(k)) <- good0.(k);
+    gw1.(dffs.(k)) <- good1.(k)
+  done;
+  let order = p.order in
+  for i = 0 to Array.length order - 1 do
+    let nd = order.(i) in
+    let op = p.op.(nd) in
+    let lo = off.(nd) and hi = off.(nd + 1) in
+    let a = fin.(lo) in
+    let z = ref gw0.(a) and o = ref gw1.(a) in
+    (match op lsr 1 with
+     | 0 (* AND *) ->
+       for j = lo + 1 to hi - 1 do
+         let b = fin.(j) in
+         z := !z lor gw0.(b);
+         o := !o land gw1.(b)
+       done
+     | 1 (* OR *) ->
+       for j = lo + 1 to hi - 1 do
+         let b = fin.(j) in
+         z := !z land gw0.(b);
+         o := !o lor gw1.(b)
+       done
+     | 2 (* XOR *) ->
+       for j = lo + 1 to hi - 1 do
+         let b = fin.(j) in
+         let z2 = gw0.(b) and o2 = gw1.(b) in
+         let no = !o land z2 lor (!z land o2) in
+         z := !z land z2 lor (!o land o2);
+         o := no
+       done
+     | _ (* MUX *) ->
+       let x = fin.(lo + 1) and y = fin.(lo + 2) in
+       let zs = !z and os = !o in
+       o := zs land gw1.(x) lor (os land gw1.(y)) lor (gw1.(x) land gw1.(y));
+       z := zs land gw0.(x) lor (os land gw0.(y)) lor (gw0.(x) land gw0.(y)));
+    if op land 1 = 0 then begin
+      gw0.(nd) <- !z;
+      gw1.(nd) <- !o
+    end
+    else begin
+      gw0.(nd) <- !o;
+      gw1.(nd) <- !z
+    end
+  done;
+  let dff_fanin = p.dff_fanin in
+  for k = 0 to Array.length dff_fanin - 1 do
+    good0.(k) <- gw0.(dff_fanin.(k));
+    good1.(k) <- gw1.(dff_fanin.(k))
+  done
 
 (* -------------------------------------------------- event-driven engine *)
 
@@ -358,102 +436,91 @@ let count_activity t gsim =
    whose recomputed words collapse back to the broadcast stops the
    trace. *)
 
-let schedule_fanouts t sc nd =
-  let fos = t.comb_fanouts.(nd) in
-  for i = 0 to Array.length fos - 1 do
-    let m = fos.(i) in
-    if sc.qstamp.(m) <> sc.epoch then begin
-      sc.qstamp.(m) <- sc.epoch;
-      let lvl = t.level.(m) in
-      sc.queue.(lvl).(sc.qlen.(lvl)) <- m;
-      sc.qlen.(lvl) <- sc.qlen.(lvl) + 1
-    end
+let[@inline] enqueue (p : Plan.t) sc m =
+  if sc.qstamp.(m) <> sc.epoch then begin
+    sc.qstamp.(m) <- sc.epoch;
+    let lvl = p.level.(m) in
+    sc.queue.(p.level_off.(lvl) + sc.qlen.(lvl)) <- m;
+    sc.qlen.(lvl) <- sc.qlen.(lvl) + 1
+  end
+
+let schedule_fanouts (p : Plan.t) sc nd =
+  let fos = p.fanout in
+  for i = p.fanout_off.(nd) to p.fanout_off.(nd + 1) - 1 do
+    enqueue p sc fos.(i)
   done
+
+(* Record a node whose words [z]/[o] differ from the good broadcast, and
+   propagate. *)
+let[@inline] diverge p sc nd z o =
+  let zd = z lxor sc.gw0.(nd) and od = o lxor sc.gw1.(nd) in
+  if zd lor od <> 0 then begin
+    sc.touched.(sc.ntouched) <- nd;
+    sc.ntouched <- sc.ntouched + 1;
+    sc.wz.(nd) <- zd;
+    sc.wo.(nd) <- od;
+    schedule_fanouts p sc nd
+  end
 
 (* Evaluate a scheduled gate from difference-word fanins; record and
    propagate only a genuine divergence from the good broadcast. *)
-let eval_event t sc nd =
-  let f = t.fanins.(nd) in
+let eval_event (p : Plan.t) sc nd =
+  let fin = p.fanin in
+  let lo = p.fanin_off.(nd) and hi = p.fanin_off.(nd + 1) in
+  let op = p.op.(nd) in
   let wz = sc.wz and wo = sc.wo and gw0 = sc.gw0 and gw1 = sc.gw1 in
-  let z = ref 0 and o = ref 0 in
-  (match t.kinds.(nd) with
-   | Gate.Buf ->
-     z := wz.(f.(0)) lxor gw0.(f.(0));
-     o := wo.(f.(0)) lxor gw1.(f.(0))
-   | Gate.Not ->
-     z := wo.(f.(0)) lxor gw1.(f.(0));
-     o := wz.(f.(0)) lxor gw0.(f.(0))
-   | Gate.And | Gate.Nand ->
-     z := wz.(f.(0)) lxor gw0.(f.(0));
-     o := wo.(f.(0)) lxor gw1.(f.(0));
-     for i = 1 to Array.length f - 1 do
-       z := !z lor (wz.(f.(i)) lxor gw0.(f.(i)));
-       o := !o land (wo.(f.(i)) lxor gw1.(f.(i)))
-     done;
-     if t.kinds.(nd) = Gate.Nand then begin
-       let tmp = !z in
-       z := !o;
-       o := tmp
-     end
-   | Gate.Or | Gate.Nor ->
-     z := wz.(f.(0)) lxor gw0.(f.(0));
-     o := wo.(f.(0)) lxor gw1.(f.(0));
-     for i = 1 to Array.length f - 1 do
-       z := !z land (wz.(f.(i)) lxor gw0.(f.(i)));
-       o := !o lor (wo.(f.(i)) lxor gw1.(f.(i)))
-     done;
-     if t.kinds.(nd) = Gate.Nor then begin
-       let tmp = !z in
-       z := !o;
-       o := tmp
-     end
-   | Gate.Xor | Gate.Xnor ->
-     z := wz.(f.(0)) lxor gw0.(f.(0));
-     o := wo.(f.(0)) lxor gw1.(f.(0));
-     for i = 1 to Array.length f - 1 do
-       let z2 = wz.(f.(i)) lxor gw0.(f.(i))
-       and o2 = wo.(f.(i)) lxor gw1.(f.(i)) in
+  let a = fin.(lo) in
+  let z = ref (wz.(a) lxor gw0.(a)) and o = ref (wo.(a) lxor gw1.(a)) in
+  (match op lsr 1 with
+   | 0 (* AND *) ->
+     for i = lo + 1 to hi - 1 do
+       let b = fin.(i) in
+       z := !z lor (wz.(b) lxor gw0.(b));
+       o := !o land (wo.(b) lxor gw1.(b))
+     done
+   | 1 (* OR *) ->
+     for i = lo + 1 to hi - 1 do
+       let b = fin.(i) in
+       z := !z land (wz.(b) lxor gw0.(b));
+       o := !o lor (wo.(b) lxor gw1.(b))
+     done
+   | 2 (* XOR *) ->
+     for i = lo + 1 to hi - 1 do
+       let b = fin.(i) in
+       let z2 = wz.(b) lxor gw0.(b) and o2 = wo.(b) lxor gw1.(b) in
        let no = !o land z2 lor (!z land o2) in
-       let nz = !z land z2 lor (!o land o2) in
-       z := nz;
+       z := !z land z2 lor (!o land o2);
        o := no
-     done;
-     if t.kinds.(nd) = Gate.Xnor then begin
-       let tmp = !z in
-       z := !o;
-       o := tmp
-     end
-   | Gate.Mux ->
-     let zs = wz.(f.(0)) lxor gw0.(f.(0)) and os = wo.(f.(0)) lxor gw1.(f.(0)) in
-     let za = wz.(f.(1)) lxor gw0.(f.(1)) and oa = wo.(f.(1)) lxor gw1.(f.(1)) in
-     let zb = wz.(f.(2)) lxor gw0.(f.(2)) and ob = wo.(f.(2)) lxor gw1.(f.(2)) in
+     done
+   | _ (* MUX *) ->
+     let x = fin.(lo + 1) and y = fin.(lo + 2) in
+     let za = wz.(x) lxor gw0.(x) and oa = wo.(x) lxor gw1.(x) in
+     let zb = wz.(y) lxor gw0.(y) and ob = wo.(y) lxor gw1.(y) in
+     let zs = !z and os = !o in
      o := zs land oa lor (os land ob) lor (oa land ob);
-     z := zs land za lor (os land zb) lor (za land zb)
-   | Gate.Input | Gate.Dff -> assert false);
+     z := zs land za lor (os land zb) lor (za land zb));
+  if op land 1 = 1 then begin
+    let tmp = !z in
+    z := !o;
+    o := tmp
+  end;
   let m1 = sc.mo.(nd) and m0 = sc.mz.(nd) in
   if m1 lor m0 <> 0 then begin
     z := !z land lnot m1 lor m0;
     o := !o land lnot m0 lor m1
   end;
-  let zd = !z lxor gw0.(nd) and od = !o lxor gw1.(nd) in
-  if zd lor od <> 0 then begin
-    sc.touched.(sc.ntouched) <- nd;
-    sc.ntouched <- sc.ntouched + 1;
-    wz.(nd) <- zd;
-    wo.(nd) <- od;
-    schedule_fanouts t sc nd
-  end
+  diverge p sc nd !z !o
 
 (* One frame of one group.  [sc.gw0]/[sc.gw1] must hold the frame's good
    broadcast.  Detections write [t.det_time] (slots are disjoint across
    groups, so concurrent workers never collide) and count into
    [detections]. *)
 let sim_frame_event t sc g time detections =
+  let p = t.plan in
   sc.epoch <- sc.epoch + 1;
   sc.ntouched <- 0;
   sc.s_gframes <- sc.s_gframes + 1;
   sc.s_wakeups <- sc.s_wakeups + g.ndirty;
-  let epoch = sc.epoch in
   (* Detected machines are dead weight: masking their bits out of every
      seed (their state snaps to the good value, their injections stop
      firing) makes a group's event cone shrink as its faults retire,
@@ -468,28 +535,16 @@ let sim_frame_event t sc g time detections =
      state.  [dz]/[dv] are the stored state words, already restricted to
      active machines. *)
   let seed_dff k dz dv =
-    let id = t.dffs.(k) in
-    let z = ref dz and o = ref dv in
+    let id = p.dffs.(k) in
     let m1 = sc.mo.(id) and m0 = sc.mz.(id) in
-    if m1 lor m0 <> 0 then begin
-      z := !z land lnot m1 lor m0;
-      o := !o land lnot m0 lor m1
-    end;
-    let zd = !z lxor sc.gw0.(id) and od = !o lxor sc.gw1.(id) in
-    if zd lor od <> 0 then begin
-      sc.touched.(sc.ntouched) <- id;
-      sc.ntouched <- sc.ntouched + 1;
-      sc.wz.(id) <- zd;
-      sc.wo.(id) <- od;
-      schedule_fanouts t sc id
-    end
+    diverge p sc id (dz land lnot m1 lor m0) (dv land lnot m0 lor m1)
   in
   (* Only flip-flops on the dirty list can differ from the good machine;
      injection sites on clean flip-flops start from the implicit good
      words. *)
   for i = 0 to g.ndirty - 1 do
     let k = g.dirty.(i) in
-    let id = t.dffs.(k) in
+    let id = p.dffs.(k) in
     seed_dff k
       (g.fzero.(k) land act lor (sc.gw0.(id) land lnot act))
       (g.fone.(k) land act lor (sc.gw1.(id) land lnot act))
@@ -497,42 +552,30 @@ let sim_frame_event t sc g time detections =
   for i = 0 to Array.length g.inj_dff - 1 do
     let k = g.inj_dff.(i) in
     if Bytes.unsafe_get g.dmark k = '\000' then
-      seed_dff k sc.gw0.(t.dffs.(k)) sc.gw1.(t.dffs.(k))
+      seed_dff k sc.gw0.(p.dffs.(k)) sc.gw1.(p.dffs.(k))
   done;
   (* Seed: injection sites (gates self-schedule; forced sources diverge
      directly). *)
   for i = 0 to ninj - 1 do
     let nd = g.inj_nodes.(i) in
-    match t.kinds.(nd) with
-    | Gate.Dff -> ()  (* handled with the state seeds above *)
-    | Gate.Input ->
+    let op = p.op.(nd) in
+    if op = Plan.op_input then begin
       let m1 = sc.mo.(nd) and m0 = sc.mz.(nd) in
-      let z = sc.gw0.(nd) land lnot m1 lor m0 in
-      let o = sc.gw1.(nd) land lnot m0 lor m1 in
-      let zd = z lxor sc.gw0.(nd) and od = o lxor sc.gw1.(nd) in
-      if zd lor od <> 0 then begin
-        sc.touched.(sc.ntouched) <- nd;
-        sc.ntouched <- sc.ntouched + 1;
-        sc.wz.(nd) <- zd;
-        sc.wo.(nd) <- od;
-        schedule_fanouts t sc nd
-      end
-    | _ ->
-      if sc.qstamp.(nd) <> epoch then begin
-        sc.qstamp.(nd) <- epoch;
-        let lvl = t.level.(nd) in
-        sc.queue.(lvl).(sc.qlen.(lvl)) <- nd;
-        sc.qlen.(lvl) <- sc.qlen.(lvl) + 1
-      end
+      diverge p sc nd
+        (sc.gw0.(nd) land lnot m1 lor m0)
+        (sc.gw1.(nd) land lnot m0 lor m1)
+    end
+    else if op <> Plan.op_dff (* handled with the state seeds above *) then
+      enqueue p sc nd
   done;
   (* Propagate, level-ordered; a gate only ever schedules strictly deeper
      gates. *)
-  for lvl = 1 to t.depth do
-    let q = sc.queue.(lvl) in
+  for lvl = 1 to p.depth do
+    let base = p.level_off.(lvl) in
     let len = sc.qlen.(lvl) in
     sc.s_events <- sc.s_events + len;
-    for j = 0 to len - 1 do
-      eval_event t sc q.(j)
+    for j = base to base + len - 1 do
+      eval_event p sc sc.queue.(j)
     done;
     sc.qlen.(lvl) <- 0
   done;
@@ -540,8 +583,8 @@ let sim_frame_event t sc g time detections =
      difference word equals the absolute word, and untouched outputs are
      all-zero, so every output folds in without a test. *)
   let det = ref 0 in
-  for p = 0 to Array.length t.outputs - 1 do
-    let id = t.outputs.(p) in
+  for i = 0 to Array.length p.outputs - 1 do
+    let id = p.outputs.(i) in
     det :=
       !det lor (sc.wz.(id) land sc.gw1.(id)) lor (sc.wo.(id) land sc.gw0.(id))
   done;
@@ -567,8 +610,8 @@ let sim_frame_event t sc g time detections =
   g.ndirty <- 0;
   for i = 0 to sc.ntouched - 1 do
     let nd = sc.touched.(i) in
-    for j = t.dff_feed_off.(nd) to t.dff_feed_off.(nd + 1) - 1 do
-      let k = t.dff_feed.(j) in
+    for j = p.dff_feed_off.(nd) to p.dff_feed_off.(nd + 1) - 1 do
+      let k = p.dff_feed.(j) in
       g.fzero.(k) <- sc.wz.(nd) lxor sc.gw0.(nd);
       g.fone.(k) <- sc.wo.(nd) lxor sc.gw1.(nd);
       Bytes.unsafe_set g.dmark k '\001';
@@ -597,7 +640,8 @@ let sim_frame_event t sc g time detections =
    reads the clean faults' values off the good next-state, i.e. the
    broadcast at the flip-flop's fanin. *)
 let repack t sc groups =
-  let nff = Array.length t.dffs in
+  let p = t.plan in
+  let nff = Array.length p.dffs in
   let acc = ref [] in
   Array.iter
     (fun g ->
@@ -632,7 +676,7 @@ let repack t sc groups =
       let amask = if len = width then full else (1 lsl len) - 1 in
       for j = 0 to !ndirty - 1 do
         let k = dirty.(j) in
-        let d = t.dff_fanin.(k) in
+        let d = p.dff_fanin.(k) in
         let z = ref (if sc.gw0.(d) <> 0 then amask else 0) in
         let o = ref (if sc.gw1.(d) <> 0 then amask else 0) in
         for i = 0 to len - 1 do
@@ -648,9 +692,7 @@ let repack t sc groups =
         fzero.(k) <- !z;
         fone.(k) <- !o
       done;
-      let inj_nodes, inj1, inj0, inj_dff =
-        build_injections t.model t.dff_index ids
-      in
+      let inj_nodes, inj1, inj0, inj_dff = build_injections t.model p ids in
       { ids; active = amask;
         fzero; fone; inj_nodes; inj1; inj0;
         dirty; ndirty = !ndirty; dmark; inj_dff })
@@ -673,16 +715,16 @@ type block = {
   mutable bmachines : int;  (* live machines across the block *)
 }
 
-(* Run [blocks] over the whole view with worker-owned state.  [gsim] is the
-   worker's good machine (the session's own for the calling domain, a
-   replayed copy for spawned ones).  [step_all] keeps stepping the good
-   machine after every group retired — required for the session machine,
-   whose final state is observable.  Blocks are mutated in place; the
-   caller reads them back after the domain join.  Returns the worker's
-   detection count and its staged telemetry counters. *)
-let run_worker t sc gsim view t0 ~blocks ~step_all =
+(* Run [blocks] over the whole view with worker-owned state.  [good0]/
+   [good1] are the worker's good state words (the session's own for the
+   calling domain, a copy for spawned ones), stepped in place.
+   [step_all] keeps stepping the good machine after every group retired —
+   required for the session machine, whose final state is observable.
+   Blocks are mutated in place; the caller reads them back after the
+   domain join.  Returns the worker's detection count and its staged
+   telemetry counters. *)
+let run_worker t sc good0 good1 view t0 ~blocks ~step_all =
   let nframes = View.length view in
-  let n = Array.length sc.gw0 in
   reset_sstats sc;
   Array.iter (fun b -> !block_hook b.bid) blocks;
   let detections = ref 0 in
@@ -697,25 +739,13 @@ let run_worker t sc gsim view t0 ~blocks ~step_all =
   let stopped = ref false in
   let fi = ref 0 in
   while !fi < nframes && ((!live > 0 && not !stopped) || step_all) do
-    Goodsim.step gsim (View.get view !fi);
-    if step_all && t.observe then count_activity t gsim;
+    good_frame t.plan sc good0 good1 (View.get view !fi);
+    if step_all && t.observe then count_activity t sc;
     if limited && not !stopped
        && (if step_all then Obs.Budget.expired t.budget
            else Obs.Budget.tripped t.budget <> None)
     then stopped := true;
     if !live > 0 && not !stopped then begin
-      for nd = 0 to n - 1 do
-        match Goodsim.value gsim nd with
-        | Logic.Zero ->
-          sc.gw0.(nd) <- full;
-          sc.gw1.(nd) <- 0
-        | Logic.One ->
-          sc.gw0.(nd) <- 0;
-          sc.gw1.(nd) <- full
-        | Logic.X ->
-          sc.gw0.(nd) <- 0;
-          sc.gw1.(nd) <- 0
-      done;
       Array.iter
         (fun b ->
           if b.blive > 0 then begin
@@ -753,6 +783,14 @@ let run_worker t sc gsim view t0 ~blocks ~step_all =
   done;
   !detections, read_sstats sc
 
+(* [run_worker] on a scratch borrowed from the calling domain, returned
+   only when the run finishes cleanly. *)
+let run_borrowed t good0 good1 view t0 ~blocks ~step_all =
+  let sc = borrow t.plan in
+  let r = run_worker t sc good0 good1 view t0 ~blocks ~step_all in
+  release sc;
+  r
+
 let advance_event t view =
   let nframes = View.length view in
   let t0 = t.time in
@@ -780,7 +818,7 @@ let advance_event t view =
   let worker_stats =
     if jobs <= 1 then begin
       let d, ws =
-        run_worker t t.scratch t.good view t0 ~blocks ~step_all:true
+        run_borrowed t t.good0 t.good1 view t0 ~blocks ~step_all:true
       in
       t.detected <- t.detected + d;
       [ ws ]
@@ -788,11 +826,10 @@ let advance_event t view =
     else begin
       (* Blocks are independent given the good trace: deal them round-robin
          across domains.  Each spawned worker replays the good machine from
-         the pre-advance state with its own scratch; detection times and
-         group states land in disjoint slots, so the merged outcome is
-         identical to the sequential schedule regardless of
-         interleaving. *)
-      let init_state = Goodsim.state t.good in
+         a copy of the pre-advance state words with its own scratch;
+         detection times and group states land in disjoint slots, so the
+         merged outcome is identical to the sequential schedule regardless
+         of interleaving. *)
       let share w =
         let acc = ref [] in
         Array.iter (fun b -> if b.bid mod jobs = w then acc := b :: !acc) blocks;
@@ -805,22 +842,17 @@ let advance_event t view =
       let spawned =
         Array.init (jobs - 1) (fun k ->
             let blocks = share (k + 1) in
+            let good0 = Array.copy t.good0 and good1 = Array.copy t.good1 in
             Domain.spawn (fun () ->
                 match
-                  let sc = make_scratch t.model in
-                  let gsim =
-                    Goodsim.create ~levelize:t.model.Model.levelize
-                      t.model.Model.circuit
-                  in
-                  Goodsim.set_state gsim init_state;
-                  run_worker t sc gsim view t0 ~blocks ~step_all:false
+                  run_borrowed t good0 good1 view t0 ~blocks ~step_all:false
                 with
                 | r -> Ok r
                 | exception e -> Error (e, Printexc.get_raw_backtrace ())))
       in
       let main_result =
         match
-          run_worker t t.scratch t.good view t0 ~blocks:(share 0)
+          run_borrowed t t.good0 t.good1 view t0 ~blocks:(share 0)
             ~step_all:true
         with
         | r -> Ok r
@@ -907,66 +939,56 @@ let undetected t =
     t.fault_ids;
   Array.of_list (List.rev !acc)
 
-let good_state t = Goodsim.state t.good
+let logic_of_words z o =
+  if o <> 0 then Logic.One else if z <> 0 then Logic.Zero else Logic.X
+
+let good_state t = Array.map2 logic_of_words t.good0 t.good1
 
 (* A flip-flop off the dirty list implicitly holds the good machine's
    state. *)
 
 let faulty_state t fid =
   check_target t fid;
-  let good = Goodsim.state t.good in
-  if t.det_time.(fid) >= 0 then good
+  if t.det_time.(fid) >= 0 then good_state t
     (* detected machines stop being updated; their state is the good one *)
   else begin
     let g = t.groups.(t.group_of.(fid)) in
     let bit = 1 lsl t.slot_of.(fid) in
-    Array.mapi
-      (fun k _ ->
-        if Bytes.get g.dmark k = '\000' then good.(k)
+    Array.init (Array.length t.good0) (fun k ->
+        if Bytes.get g.dmark k = '\000' then
+          logic_of_words t.good0.(k) t.good1.(k)
         else if g.fone.(k) land bit <> 0 then Logic.One
         else if g.fzero.(k) land bit <> 0 then Logic.Zero
         else Logic.X)
-      t.dffs
   end
+
+(* Machines holding a strict effect at flip-flop [k] of group [g]: the good
+   value is binary and the faulty value the opposite binary. *)
+let effect_word t g k =
+  if Bytes.get g.dmark k = '\000' then 0
+  else (g.fzero.(k) land t.good1.(k)) lor (g.fone.(k) land t.good0.(k))
 
 let ff_effects t fid =
   check_target t fid;
   if t.det_time.(fid) >= 0 then []
   else begin
-  let g = t.groups.(t.group_of.(fid)) in
-  let bit = 1 lsl t.slot_of.(fid) in
-  let good = Goodsim.state t.good in
-  let acc = ref [] in
-  for k = Array.length t.dffs - 1 downto 0 do
-    let effect =
-      Bytes.get g.dmark k <> '\000'
-      &&
-      match good.(k) with
-      | Logic.One -> g.fzero.(k) land bit <> 0
-      | Logic.Zero -> g.fone.(k) land bit <> 0
-      | Logic.X -> false
-    in
-    if effect then acc := k :: !acc
-  done;
-  !acc
+    let g = t.groups.(t.group_of.(fid)) in
+    let bit = 1 lsl t.slot_of.(fid) in
+    let acc = ref [] in
+    for k = Array.length t.good0 - 1 downto 0 do
+      if effect_word t g k land bit <> 0 then acc := k :: !acc
+    done;
+    !acc
   end
 
 let effect_bits t =
-  let good = Goodsim.state t.good in
   let total = ref 0 in
   Array.iter
     (fun g ->
       if g.active <> 0 then
-        Array.iteri
-          (fun k gv ->
-            if Bytes.get g.dmark k <> '\000' then
-              match gv with
-              | Logic.One ->
-                total := !total + popcount (g.fzero.(k) land g.active)
-              | Logic.Zero ->
-                total := !total + popcount (g.fone.(k) land g.active)
-              | Logic.X -> ())
-          good)
+        for k = 0 to Array.length t.good0 - 1 do
+          total := !total + popcount (effect_word t g k land g.active)
+        done)
     t.groups;
   !total
 
@@ -975,29 +997,29 @@ let effect_bits t =
 (* A snapshot keeps the session's faulty states in their packed group
    representation — two state words plus a dirty byte per flip-flop per
    group of up to 62 faults — so capturing costs ~1/62 of materializing
-   per-fault state arrays.  Individual states are unpacked on demand when
-   [of_snapshot]'s [create] reads them, i.e. only for the faults a probe
-   session actually targets. *)
+   per-fault state arrays.  [of_snapshot] moves each targeted fault's bits
+   straight from its captured word into its new slot. *)
 
 type snap_group = {
   sg_fzero : int array;
   sg_fone : int array;
-  sg_dmark : Bytes.t;
+  sg_dirty : int array;  (* the group's dirty list at capture ... *)
+  mutable sg_ndirty : int;  (* ... and its length *)
 }
 
 type snapshot = {
   snap_model : Model.t;
-  snap_good : Logic.t array;
+  snap_good0 : int array;
+  snap_good1 : int array;
   snap_captured : Bytes.t;  (* fault id -> '\001' when captured *)
   snap_group_of : int array;
   snap_slot_of : int array;
   snap_det : int array;  (* det_time at capture *)
   snap_groups : snap_group array;
-  snap_nff : int;
 }
 
 (* A snapshot arena recycles one capture's buffers into the next: the
-   per-fault index/det arrays, the good-state array, and the per-group
+   per-fault index/det arrays, the good-state words, and the per-group
    packed words are all overwritten in place when their sizes still fit
    (repacking shrinks the group count; the pool keeps the high-water
    set).  Taking a new snapshot from an arena therefore invalidates the
@@ -1009,7 +1031,8 @@ type snapshot_arena = {
   mutable ar_group_of : int array;
   mutable ar_slot_of : int array;
   mutable ar_det : int array;
-  mutable ar_good : Logic.t array;
+  mutable ar_good0 : int array;
+  mutable ar_good1 : int array;
   mutable ar_pool : snap_group array;  (* reusable group buffers *)
   mutable ar_hits : int;  (* captures that reused at least one buffer *)
 }
@@ -1019,7 +1042,8 @@ let arena () =
     ar_group_of = [||];
     ar_slot_of = [||];
     ar_det = [||];
-    ar_good = [||];
+    ar_good0 = [||];
+    ar_good1 = [||];
     ar_pool = [||];
     ar_hits = 0 }
 
@@ -1032,7 +1056,7 @@ let snapshot ?arena:ar ?fault_ids t =
     | None -> t.fault_ids
   in
   let fault_total = Array.length t.group_of in
-  let nff = Array.length t.dffs in
+  let nff = Array.length t.good0 in
   let reused = ref false in
   let captured =
     match ar with
@@ -1056,14 +1080,6 @@ let snapshot ?arena:ar ?fault_ids t =
       dst
     | _ -> Array.copy src
   in
-  let good =
-    match ar with
-    | Some a when Array.length a.ar_good = nff ->
-      reused := true;
-      Goodsim.state_into t.good a.ar_good;
-      a.ar_good
-    | _ -> good_state t
-  in
   let ngroups = Array.length t.groups in
   let groups =
     Array.mapi
@@ -1078,18 +1094,36 @@ let snapshot ?arena:ar ?fault_ids t =
           | _ ->
             { sg_fzero = Array.make nff 0;
               sg_fone = Array.make nff 0;
-              sg_dmark = Bytes.make nff '\000' }
+              sg_dirty = Array.make nff 0;
+              sg_ndirty = 0 }
         in
         Array.blit g.fzero 0 buf.sg_fzero 0 nff;
         Array.blit g.fone 0 buf.sg_fone 0 nff;
-        Bytes.blit g.dmark 0 buf.sg_dmark 0 nff;
+        Array.blit g.dirty 0 buf.sg_dirty 0 g.ndirty;
+        buf.sg_ndirty <- g.ndirty;
         buf)
       t.groups
+  in
+  let snap =
+    {
+      snap_model = t.model;
+      snap_good0 = copy_into (fun a -> a.ar_good0) t.good0;
+      snap_good1 = copy_into (fun a -> a.ar_good1) t.good1;
+      snap_captured = captured;
+      snap_group_of = copy_into (fun a -> a.ar_group_of) t.group_of;
+      snap_slot_of = copy_into (fun a -> a.ar_slot_of) t.slot_of;
+      snap_det = copy_into (fun a -> a.ar_det) t.det_time;
+      snap_groups = groups;
+    }
   in
   (match ar with
    | Some a ->
      a.ar_captured <- captured;
-     a.ar_good <- good;
+     a.ar_good0 <- snap.snap_good0;
+     a.ar_good1 <- snap.snap_good1;
+     a.ar_group_of <- snap.snap_group_of;
+     a.ar_slot_of <- snap.snap_slot_of;
+     a.ar_det <- snap.snap_det;
      (* Keep the high-water buffer set so a shrinking group count still
         reuses every live buffer next round. *)
      if ngroups > 0 then
@@ -1101,47 +1135,39 @@ let snapshot ?arena:ar ?fault_ids t =
        else Array.blit groups 0 a.ar_pool 0 ngroups;
      if !reused then a.ar_hits <- a.ar_hits + 1
    | None -> ());
-  let snap =
-    {
-      snap_model = t.model;
-      snap_good = good;
-      snap_captured = captured;
-      snap_group_of = copy_into (fun a -> a.ar_group_of) t.group_of;
-      snap_slot_of = copy_into (fun a -> a.ar_slot_of) t.slot_of;
-      snap_det = copy_into (fun a -> a.ar_det) t.det_time;
-      snap_groups = groups;
-      snap_nff = nff;
-    }
-  in
-  (match ar with
-   | Some a ->
-     a.ar_group_of <- snap.snap_group_of;
-     a.ar_slot_of <- snap.snap_slot_of;
-     a.ar_det <- snap.snap_det
-   | None -> ());
   snap
 
-(* Mirror of [faulty_state], reading the captured words. *)
-let snapshot_state snap fid =
-  if
-    fid < 0
-    || fid >= Bytes.length snap.snap_captured
-    || Bytes.get snap.snap_captured fid = '\000'
-  then invalid_arg "Faultsim.of_snapshot: fault not captured";
-  if snap.snap_det.(fid) >= 0 then snap.snap_good
-  else begin
-    let g = snap.snap_groups.(snap.snap_group_of.(fid)) in
-    let bit = 1 lsl snap.snap_slot_of.(fid) in
-    Array.init snap.snap_nff (fun k ->
-        if Bytes.get g.sg_dmark k = '\000' then snap.snap_good.(k)
-        else if g.sg_fone.(k) land bit <> 0 then Logic.One
-        else if g.sg_fzero.(k) land bit <> 0 then Logic.Zero
-        else Logic.X)
-  end
-
-let of_snapshot ?jobs ?budget snap ~fault_ids =
-  create ?jobs ?budget ~good_state:snap.snap_good
-    ~faulty_states:(snapshot_state snap) snap.snap_model ~fault_ids
+(* Each slot's initial words, read the way [faulty_state] reads a session:
+   every slot starts from the good words, then each undetected fault's
+   captured bits overwrite its slot at the flip-flops its source group
+   had dirty (one over zero, as [faulty_state] decodes them). *)
+let of_snapshot ?(jobs = 1) ?(budget = Obs.Budget.unlimited) snap ~fault_ids =
+  let g0 = snap.snap_good0 and g1 = snap.snap_good1 in
+  let load ids fzero fone =
+    load_good g0 g1 ids fzero fone;
+    Array.iteri
+      (fun slot fid ->
+        if
+          fid < 0
+          || fid >= Bytes.length snap.snap_captured
+          || Bytes.get snap.snap_captured fid = '\000'
+        then invalid_arg "Faultsim.of_snapshot: fault not captured";
+        if snap.snap_det.(fid) < 0 then begin
+          let sg = snap.snap_groups.(snap.snap_group_of.(fid)) in
+          let s = snap.snap_slot_of.(fid) in
+          let keep = lnot (1 lsl slot) in
+          for j = 0 to sg.sg_ndirty - 1 do
+            let k = sg.sg_dirty.(j) in
+            let o = (sg.sg_fone.(k) lsr s) land 1 in
+            let z = (sg.sg_fzero.(k) lsr s) land 1 land lnot o in
+            fzero.(k) <- fzero.(k) land keep lor (z lsl slot);
+            fone.(k) <- fone.(k) land keep lor (o lsl slot)
+          done
+        end)
+      ids
+  in
+  session ~jobs ~observe:false ~budget snap.snap_model ~good0:(Array.copy g0)
+    ~good1:(Array.copy g1) ~fault_ids ~load
 
 (* --------------------------------------------------------- conveniences *)
 

@@ -8,19 +8,25 @@
     faults were turned into node-output faults by {!Faultmodel.Model}.
 
     The kernel is event-driven (HOPE-style) selective trace: the fault-free
-    machine is simulated once per frame, a group's words are treated as
-    {e differences} against the good broadcast, and only fanout cones
-    reached from state divergences and injection sites are re-evaluated
-    through a per-level event queue built on {!Netlist.Levelize} data.
-    Since groups are independent given the good trace, sessions created
-    with [jobs > 1] deal groups round-robin across [Domain.spawn] workers,
-    each with its own scratch arrays and good machine replay; results
-    (detection times, states, counts) are bit-identical to the sequential
-    schedule.  Its cross-validation oracle is a scalar single-fault
-    simulator that lives with the tests, outside this representation.
+    machine is simulated once per frame as two-rail broadcast words, a
+    group's words are treated as {e differences} against that broadcast,
+    and only fanout cones reached from state divergences and injection
+    sites are re-evaluated through a per-level event queue.  Everything
+    structural — gate opcodes, fanin/fanout CSR arrays, flip-flop maps,
+    levels — comes from the model's {!Netlist.Plan}, compiled once per
+    model, so starting a session builds only its fault groups.  The
+    node-sized evaluation state lives in one scratch per domain, lent to
+    one {!advance} at a time.  Since groups are independent given the
+    good trace, sessions created with [jobs > 1] deal groups round-robin
+    across [Domain.spawn] workers, each replaying the good machine from a
+    copy of the pre-advance state on its own domain's scratch; results
+    (detection times, states, counts) are bit-identical to the
+    sequential schedule.  Its cross-validation oracle is a scalar
+    single-fault simulator that lives with the tests, outside this
+    representation.
 
-    A {!t} is a *session*: it holds the good machine, every group's faulty
-    state, and per-fault first-detection times.  Sequences are fed
+    A {!t} is a *session*: it holds the good machine's state, every
+    group's faulty state, and per-fault first-detection times.  Sequences are fed
     incrementally with {!advance} (or zero-copy views with
     {!advance_view}), which is what makes the generation flow's repeated
     "append a subsequence, then drop newly-detected faults" cheap.
@@ -67,7 +73,10 @@ type stats = {
     when it trips mid-{!advance}, fault machines freeze at the current
     frame while the session's good machine still steps through the whole
     view.  Degradation is sound — detections recorded before the trip are
-    exact, and frozen faults simply remain undetected. *)
+    exact, and frozen faults simply remain undetected.
+
+    @raise Invalid_argument on a duplicate fault id or on a state whose
+    length is not the flip-flop count. *)
 val create :
   ?good_state:Netlist.Logic.t array ->
   ?faulty_states:(int -> Netlist.Logic.t array) ->
@@ -81,7 +90,9 @@ val create :
 (** Frames consumed so far. *)
 val time : t -> int
 
-(** [advance t seq] simulates the next [Array.length seq] frames. *)
+(** [advance t seq] simulates the next [Array.length seq] frames.
+    @raise Invalid_argument when a vector does not cover every primary
+    input. *)
 val advance : t -> Vectors.t -> unit
 
 (** [advance_view t v] simulates the frames visible through [v] without
@@ -130,14 +141,14 @@ val popcount : int -> int
     A snapshot is an immutable capture of a session's position: the good
     flip-flop state plus every captured fault's machine state, kept in
     the packed 62-faults-per-word group representation so the capture
-    costs a small fraction of materializing per-fault arrays; individual
-    states are unpacked only for the faults a probe session targets.
-    Because {!create} copies initial states on read, a snapshot may be
-    shared read-only across domains: each worker builds its own
-    thread-confined probe session with {!of_snapshot} and simulates
-    independently.  This is what makes speculative compaction trials
-    cheap — one state capture per round, [K] concurrent probes against
-    it. *)
+    costs a small fraction of materializing per-fault arrays;
+    {!of_snapshot} moves each targeted fault's bits straight from its
+    captured word into its new slot.  Because {!of_snapshot} copies
+    states on read, a snapshot may be shared read-only across domains:
+    each worker builds its own thread-confined probe session and
+    simulates independently.  This is what makes speculative compaction
+    trials cheap — one state capture per round, [K] concurrent probes
+    against it. *)
 
 type snapshot
 

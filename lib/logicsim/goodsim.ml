@@ -14,12 +14,8 @@ type t = {
   state : Logic.t array;
 }
 
-let create ?levelize c =
-  let lv =
-    match levelize with
-    | Some lv -> lv
-    | None -> Levelize.of_circuit c
-  in
+let create c =
+  let lv = Levelize.of_circuit c in
   let dffs = Circuit.dffs c in
   {
     circuit = c;
@@ -42,11 +38,6 @@ let set_state t s =
   Array.blit s 0 t.state 0 (Array.length s)
 
 let state t = Array.copy t.state
-
-let state_into t dst =
-  if Array.length dst <> Array.length t.state then
-    invalid_arg "Goodsim.state_into: state length mismatch";
-  Array.blit t.state 0 dst 0 (Array.length t.state)
 
 let eval_node c values id =
   let nd = Circuit.node c id in

@@ -8,11 +8,8 @@
 
 type t
 
-(** [create ?levelize c] builds a simulator.  Passing a precomputed
-    [levelize] (it must belong to [c]) skips the levelization — callers that
-    spin up many simulators per circuit (fault-simulation workers, probe
-    sessions) reuse the model's. *)
-val create : ?levelize:Netlist.Levelize.t -> Netlist.Circuit.t -> t
+(** A simulator at the all-[X] power-up state. *)
+val create : Netlist.Circuit.t -> t
 
 (** Back to the all-[X] power-up state. *)
 val reset : t -> unit
@@ -23,11 +20,6 @@ val set_state : t -> Netlist.Logic.t array -> unit
 
 (** Copy of the current flip-flop state. *)
 val state : t -> Netlist.Logic.t array
-
-(** [state_into t dst] copies the current flip-flop state into [dst]
-    without allocating — the snapshot arena's reader.
-    @raise Invalid_argument on a length mismatch. *)
-val state_into : t -> Netlist.Logic.t array -> unit
 
 (** [step t vec] simulates one clock cycle.  @raise Invalid_argument when
     [vec] does not cover every primary input. *)

@@ -19,14 +19,18 @@ let gen_circuit seed =
     ~seed:(Int64.of_int seed) ()
 
 (* Scalar simulation with an optional forced node: the reference machine
-   for everything below.  Returns the output matrix and the final
-   flip-flop state. *)
-let forced_response ?force c seq =
+   for everything below.  Starts from [init] (default all-X) and returns
+   the output matrix and the final flip-flop state. *)
+let forced_response ?force ?init c seq =
   let lv = Netlist.Levelize.of_circuit c in
   let values = Array.make (C.node_count c) L.X in
   let dffs = C.dffs c in
   let dff_fanin = Array.map (fun ff -> (C.node c ff).C.fanins.(0)) dffs in
-  let state = Array.make (Array.length dffs) L.X in
+  let state =
+    match init with
+    | Some s -> Array.copy s
+    | None -> Array.make (Array.length dffs) L.X
+  in
   let apply n =
     match force with
     | Some (fn, fv) when fn = n -> values.(n) <- fv
@@ -385,6 +389,196 @@ let test_s27_certificate () =
   Alcotest.(check (array int)) "detection frames" oracle
     (Logicsim.Faultsim.detection_times m ~fault_ids:ids seq)
 
+(* ----------------------------------------- good machine and snapshots *)
+
+let scan_model c = Model.build (Scanins.Scan.insert c).Scanins.Scan.circuit
+
+let random_state rng n ~x =
+  Array.init n (fun _ ->
+      if x && Prng.Rng.int rng 8 = 0 then L.X else L.of_bool (Prng.Rng.bool rng))
+
+(* After every advance the session's good state is the scalar machine's
+   final state over the frames fed so far, from all-X and from a random
+   binary state, at jobs 1 and 3, with and without fault groups (a
+   session with no targets still steps its good machine).  One input in
+   eight is X, so X reaches every gate function, the scan multiplexers'
+   select included. *)
+let good_state_tracks_oracle m rng =
+  let c = m.Model.circuit in
+  let nff = C.dff_count c in
+  let seq =
+    Array.init 30 (fun _ -> random_state rng (C.input_count c) ~x:true)
+  in
+  let all = Array.init (Model.fault_count m) Fun.id in
+  List.for_all
+    (fun (init, jobs, ids) ->
+      let s = Logicsim.Faultsim.create ?good_state:init ~jobs m ~fault_ids:ids in
+      let fed = ref 0 in
+      List.for_all
+        (fun len ->
+          Logicsim.Faultsim.advance s (Array.sub seq !fed len);
+          fed := !fed + len;
+          let _, want = forced_response ?init c (Array.sub seq 0 !fed) in
+          Logicsim.Faultsim.good_state s = want)
+        [ 1; 6; 0; 11; 12 ])
+    [ None, 1, all;
+      Some (random_state rng nff ~x:false), 1, all;
+      Some (random_state rng nff ~x:false), 3, all;
+      None, 1, [||] ]
+
+let prop_good_state_matches_oracle =
+  QCheck2.Test.make ~name:"good_state = scalar oracle state (random circuits)"
+    ~count:10
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let m = scan_model (gen_circuit seed) in
+      good_state_tracks_oracle m (Prng.Rng.create (Int64.of_int (seed + 8))))
+
+let test_s27_good_state () =
+  let m = scan_model (Circuits.Iscas.s27 ()) in
+  Alcotest.(check bool) "good state matches the oracle" true
+    (good_state_tracks_oracle m (Prng.Rng.create 271L))
+
+(* A session built by [of_snapshot] starts with every fault's state
+   exactly as the source session held it at capture — detected faults
+   (the good state), undetected ones on dirty and clean flip-flops — and
+   then simulates like a session seeded with those states explicitly.
+   Captures are taken before any frame (every flip-flop dirty, random
+   per-fault states), after one frame and after several; the probe takes
+   the captured faults in a shuffled order, so slots move between
+   words. *)
+let snapshot_transfers_state m rng =
+  let module FS = Logicsim.Faultsim in
+  let c = m.Model.circuit in
+  let nff = C.dff_count c in
+  let seq = Vectors.random_seq rng ~width:(C.input_count c) ~length:24 in
+  let ids = Array.init (Model.fault_count m) Fun.id in
+  let starts = Array.map (fun _ -> random_state rng nff ~x:true) ids in
+  let src =
+    FS.create ~good_state:(random_state rng nff ~x:true)
+      ~faulty_states:(fun fid -> starts.(fid)) m ~fault_ids:ids
+  in
+  let arena = FS.arena () in
+  let fed = ref 0 in
+  let detected = ref false in
+  let ok =
+    List.for_all
+      (fun len ->
+        FS.advance src (Array.sub seq !fed len);
+        fed := !fed + len;
+        if FS.detected_count src > 0 then detected := true;
+        let snap = FS.snapshot ~arena src in
+        let order = Array.copy ids in
+        for i = Array.length order - 1 downto 1 do
+          let j = Prng.Rng.int rng (i + 1) in
+          let x = order.(i) in
+          order.(i) <- order.(j);
+          order.(j) <- x
+        done;
+        let probe = FS.of_snapshot snap ~fault_ids:order in
+        let states_equal =
+          FS.good_state probe = FS.good_state src
+          && Array.for_all
+               (fun fid -> FS.faulty_state probe fid = FS.faulty_state src fid)
+               ids
+        in
+        let explicit =
+          FS.create ~good_state:(FS.good_state src)
+            ~faulty_states:(FS.faulty_state src) m ~fault_ids:order
+        in
+        let rest = Array.sub seq !fed (Array.length seq - !fed) in
+        FS.advance probe rest;
+        FS.advance explicit rest;
+        states_equal
+        && Array.for_all
+             (fun fid -> FS.detection_time probe fid = FS.detection_time explicit fid)
+             ids)
+      [ 0; 1; 7 ]
+  in
+  ok, !detected
+
+let prop_snapshot_transfers_state =
+  QCheck2.Test.make ~name:"of_snapshot = source states at capture (random circuits)"
+    ~count:10
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let m = scan_model (gen_circuit seed) in
+      fst (snapshot_transfers_state m (Prng.Rng.create (Int64.of_int (seed + 9)))))
+
+let test_s27_snapshot () =
+  let m = scan_model (Circuits.Iscas.s27 ()) in
+  let ok, detected = snapshot_transfers_state m (Prng.Rng.create 272L) in
+  Alcotest.(check bool) "captures cover detected faults" true detected;
+  Alcotest.(check bool) "probe states match the source" true ok
+
+(* ---------------------------------------------------- scratch reuse *)
+
+exception Poison
+
+(* Sessions borrow their domain's scratch for one advance.  An advance
+   that raises must not poison the next session on the same domain, and
+   sessions of two models interleaved on one domain (the omission main
+   session and its probes follow this pattern) must each match an
+   isolated run.  s298 has enough faults for two repack blocks, so jobs 3
+   really spawns a worker. *)
+let reference_times m seq =
+  Logicsim.Faultsim.detection_times m
+    ~fault_ids:(Array.init (Model.fault_count m) Fun.id) seq
+
+let test_scratch_after_raise () =
+  let module FS = Logicsim.Faultsim in
+  let m = scan_model (Circuits.Catalog.circuit "s298") in
+  let c = m.Model.circuit in
+  let seq =
+    Vectors.random_seq (Prng.Rng.create 298L) ~width:(C.input_count c) ~length:40
+  in
+  let want = reference_times m seq in
+  let ids = Array.init (Model.fault_count m) Fun.id in
+  List.iter
+    (fun jobs ->
+      let s = FS.create ~jobs m ~fault_ids:ids in
+      FS.advance s (Array.sub seq 0 3);
+      FS.set_block_hook (fun _ -> raise Poison);
+      Fun.protect ~finally:FS.clear_block_hook (fun () ->
+          match FS.advance s (Array.sub seq 3 5) with
+          | () -> Alcotest.fail "the poisoned advance returned"
+          | exception Poison -> ());
+      Alcotest.(check (array int))
+        (Printf.sprintf "fresh session after a raise, jobs %d" jobs)
+        want
+        (FS.detection_times ~jobs m ~fault_ids:ids seq))
+    [ 1; 3 ]
+
+(* Runs on a fresh domain, so the small model's session allocates the
+   domain's scratch and the large model's must grow it. *)
+let test_scratch_interleaved_models () =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let module FS = Logicsim.Faultsim in
+  let small = scan_model (Circuits.Iscas.s27 ()) in
+  let large = scan_model (Circuits.Catalog.circuit "s298") in
+  let rng = Prng.Rng.create 299L in
+  let seq_of m =
+    Vectors.random_seq rng ~width:(C.input_count m.Model.circuit) ~length:36
+  in
+  let seq_s = seq_of small and seq_l = seq_of large in
+  let session m = FS.create m ~fault_ids:(Array.init (Model.fault_count m) Fun.id) in
+  let ss = session small and sl = session large in
+  for i = 0 to 5 do
+    FS.advance ss (Array.sub seq_s (6 * i) 6);
+    FS.advance sl (Array.sub seq_l (6 * i) 6)
+  done;
+  let times s m =
+    Array.init (Model.fault_count m) (fun fid ->
+        Option.value ~default:(-1) (FS.detection_time s fid))
+  in
+  Alcotest.(check (array int)) "small model" (reference_times small seq_s)
+    (times ss small);
+  Alcotest.(check (array int)) "large model" (reference_times large seq_l)
+    (times sl large);
+  Alcotest.(check bool) "good states" true
+    (FS.good_state ss = snd (forced_response small.Model.circuit seq_s)
+     && FS.good_state sl = snd (forced_response large.Model.circuit seq_l))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "crossval"
@@ -395,7 +589,15 @@ let () =
           q prop_jobs_deterministic ] );
       ( "oracle",
         [ Alcotest.test_case "s27 detection certificate" `Quick
-            test_s27_certificate ] );
+            test_s27_certificate;
+          Alcotest.test_case "s27 good state" `Quick test_s27_good_state;
+          Alcotest.test_case "s27 snapshot transfer" `Quick test_s27_snapshot;
+          q prop_good_state_matches_oracle; q prop_snapshot_transfers_state ] );
+      ( "scratch",
+        [ Alcotest.test_case "fresh session after a raise" `Quick
+            test_scratch_after_raise;
+          Alcotest.test_case "interleaved models" `Quick
+            test_scratch_interleaved_models ] );
       ( "faults", [ q prop_collapse_is_semantic ] );
       ( "flow", [ q prop_flow_targets_hold ] );
       ( "telemetry",

@@ -92,6 +92,20 @@ let shard_argv =
   in
   fun _ socket -> [| exe; "serve"; "--socket"; socket; "--quiet" |]
 
+(* Connect to [addr], retrying for up to 5 s while nothing listens there
+   yet: a router just spawned, or one of its shards — the router listens
+   before its shard daemons have bound their sockets. *)
+let connect_when_up ~what addr =
+  let rec go n =
+    match Server.Client.connect addr with
+    | c -> c
+    | exception Unix.Unix_error _ when n < 250 ->
+      Unix.sleepf 0.02;
+      go (n + 1)
+    | exception Unix.Unix_error _ -> Alcotest.fail (what ^ " did not come up")
+  in
+  go 0
+
 let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
   let sock = Filename.temp_file "scanatpg_fleet" ".sock" in
   let addr = Server.Daemon.Unix_sock sock in
@@ -107,16 +121,7 @@ let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
     }
   in
   let d = Domain.spawn (fun () -> Fleet.Router.run cfg) in
-  let rec wait_up n =
-    if n > 250 then Alcotest.fail "router did not come up"
-    else
-      match Server.Client.connect addr with
-      | c -> Server.Client.close c
-      | exception Unix.Unix_error _ ->
-        Unix.sleepf 0.02;
-        wait_up (n + 1)
-  in
-  wait_up 0;
+  Server.Client.close (connect_when_up ~what:"router" addr);
   let shutdown () =
     try
       let c = Server.Client.connect addr in
@@ -293,7 +298,7 @@ let test_router_bypass_ops () =
           has_keys "chaos reply" [ "active"; "fires" ] (J.parse chaos);
           (* the 1-shard router's shard is a daemon on <socket>.shard0 *)
           let d =
-            Server.Client.connect
+            connect_when_up ~what:"shard 0"
               (Server.Daemon.Unix_sock (sock_path addr ^ ".shard0"))
           in
           Fun.protect
