@@ -53,7 +53,8 @@ export QCHECK_SEED
 
 # The jobs-invariant counters of a metrics document: every counter except
 # the speculative-dispatch and adaptive-width accounting, which by design
-# reflect --compact-jobs and the dispatch schedule.
+# reflect --compact-jobs and the dispatch schedule.  Keep the two prefixes
+# in step with Compaction.Spec.jobs_dependent, their source.
 jobs_invariant_counters='.counters | with_entries(select(.key
   | startswith("compaction.speculative.")
     or startswith("compaction.adaptive.") | not))'
@@ -469,6 +470,12 @@ echo "== serve-mode smoke test =="
 # cache hit, and identical generate payloads (modulo id) cold vs warm.
 scanatpg_bin=./_build/default/bin/scanatpg.exe
 [ -x "$scanatpg_bin" ] || fail "missing $scanatpg_bin (dune build @all ran?)"
+# A host name is not an address: exit 2 with a message naming the flag.
+rc=0
+"$scanatpg_bin" stats --tcp localhost:7227 > /dev/null 2> "$tmpdir/tcp.err" \
+  || rc=$?
+[ "$rc" -eq 2 ] && grep -q -- '--tcp' "$tmpdir/tcp.err" \
+  || fail "--tcp with a host name: exit $rc, not 2 naming --tcp"
 cat > "$tmpdir/requests.jsonl" <<'EOF'
 {"op":"generate","circuit":"s27","seed":7}
 {"op":"generate","circuit":"s27","seed":7}

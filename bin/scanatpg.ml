@@ -626,6 +626,11 @@ let parse_addr socket tcp =
     | Some i ->
       let host = String.sub spec 0 i in
       let port_s = String.sub spec (i + 1) (String.length spec - i - 1) in
+      (try ignore (Unix.inet_addr_of_string host)
+       with Failure _ ->
+         invalid_arg
+           (Printf.sprintf "--tcp %s: HOST must be an IP address, not %s" spec
+              host));
       (match int_of_string_opt port_s with
       | Some port when port > 0 && port < 65536 -> Server.Daemon.Tcp (host, port)
       | _ -> invalid_arg (Printf.sprintf "--tcp %s: bad port %s" spec port_s)))
@@ -925,29 +930,13 @@ let batch_cmd =
           ~doc:"Write the load-harness report (schema \
                 $(b,scanatpg-load/1)) as JSON to $(docv).")
   in
-  let read_templates input =
-    let ic =
-      try open_in input
-      with Sys_error msg -> failwith (Printf.sprintf "scanatpg batch: %s" msg)
-    in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line ->
-            go (if String.trim line = "" then acc else line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
   let run socket tcp input out retries backoff_ms rate duration seed report =
     let addr = parse_addr socket tcp in
     match rate with
     | Some rate ->
       let r =
-        Fleet.Loadgen.run ~addr ~templates:(read_templates input) ~rate
-          ~duration_s:duration ~seed ()
+        Fleet.Loadgen.run ~addr ~templates:(Server.Client.read_lines input)
+          ~rate ~duration_s:duration ~seed ()
       in
       Fleet.Loadgen.print_report r;
       (match report with

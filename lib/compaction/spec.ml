@@ -33,6 +33,10 @@ let record_adaptive a counters =
   Obs.Counters.add counters "compaction.adaptive.replay_skipped"
     a.replay_skipped
 
+let jobs_dependent name =
+  String.starts_with ~prefix:"compaction.speculative." name
+  || String.starts_with ~prefix:"compaction.adaptive." name
+
 (* Round-robin deal, like the fault simulator's group scheduling: index k
    runs on domain (k mod jobs).  Writes land in disjoint array slots, so
    no synchronization is needed; the join is the only barrier. *)

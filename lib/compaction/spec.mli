@@ -51,6 +51,11 @@ val make_adaptive : unit -> adaptive
     replay_skipped}]. *)
 val record_adaptive : adaptive -> Obs.Counters.t -> unit
 
+(** [jobs_dependent name] holds for the counters {!record} and
+    {!record_adaptive} write: the one family of counter names that may
+    differ between runs at different [compact_jobs]. *)
+val jobs_dependent : string -> bool
+
 (** [map ~jobs n f] evaluates [f 0 .. f (n-1)] and returns the results in
     index order.  Indices are dealt round-robin across [jobs] domains
     (index [k] runs on domain [k mod jobs]; domain 0 is the calling

@@ -1,4 +1,3 @@
-module Protocol = Server.Protocol
 module Client = Server.Client
 module Json = Obs.Json
 
@@ -26,39 +25,19 @@ let pick ~seed ~n i =
     let h = Server.Cache.fnv1a64 (Printf.sprintf "%d:%d" seed i) in
     Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int n))
 
+(* ids are restamped per arrival; a template id would collide *)
 let prepare_template idx line =
-  match Json.parse line with
-  | exception Json.Parse_error { pos; message } ->
-    failwith
-      (Printf.sprintf "scanatpg batch: template %d: parse error at %d: %s"
-         (idx + 1) pos message)
-  | Json.Obj fields ->
-    (* ids are restamped per arrival; a template id would collide *)
-    List.filter (fun (k, _) -> k <> "id") fields
-  | _ ->
-    failwith
-      (Printf.sprintf "scanatpg batch: template %d is not a JSON object"
-         (idx + 1))
-
-let status_tally tallies payload =
-  let status =
-    match Json.parse payload with
-    | exception Json.Parse_error _ -> "error"
-    | doc -> (
-      match Option.bind (Json.member "status" doc) Json.get_str with
-      | Some s -> s
-      | None -> "error")
-  in
-  let n = try Hashtbl.find tallies status with Not_found -> 0 in
-  Hashtbl.replace tallies status (n + 1)
+  List.filter
+    (fun (k, _) -> k <> "id")
+    (Client.object_fields ~what:"template" idx line)
 
 (* Open loop: arrival [i] goes on the wire at [t0 + i/rate] regardless
    of how many responses have come back — the sender never waits on the
    server, which is what makes an overload measurable instead of
    self-throttling.  Latency is measured from the scheduled arrival, so
    a send that fell behind schedule still charges the server for the
-   queueing it caused.  The reader runs on its own domain, exactly like
-   the batch client's pipelined attempt. *)
+   queueing it caused.  The reader side is the batch client's
+   {!Client.pipeline}. *)
 let run ~addr ~templates ~rate ~duration_s ~seed () =
   if rate <= 0.0 then invalid_arg "load rate must be positive";
   if duration_s <= 0.0 then invalid_arg "load duration must be positive";
@@ -79,43 +58,27 @@ let run ~addr ~templates ~rate ~duration_s ~seed () =
   let sched i = t0 + int_of_float (float_of_int i /. rate *. 1e9) in
   let hist = Obs.Hist.create () in
   let tallies = Hashtbl.create 8 in
-  let sent = Atomic.make 0 in
-  let writer_done = Atomic.make false in
-  let reader =
-    Domain.spawn (fun () ->
-        let rec go got =
-          if Atomic.get writer_done && got >= Atomic.get sent then got
-          else
-            match Protocol.read_frame (Client.fd conn) with
-            | exception _ -> got
-            | None -> got
-            | Some payload ->
-              (match Result_cache.split_id payload with
-              | Some (id, _) when id >= 1 && id <= total ->
-                Obs.Hist.observe hist (Obs.Clock.now_ns () - sched (id - 1))
-              | _ -> ());
-              status_tally tallies payload;
-              go (got + 1)
-        in
-        go 0)
+  let sent, completed =
+    Client.pipeline conn
+      ~write:(fun send ->
+        for i = 0 to total - 1 do
+          let now = Obs.Clock.now_ns () in
+          let target = sched i in
+          if target > now then
+            Unix.sleepf (float_of_int (target - now) /. 1e9);
+          send (payload i)
+        done)
+      ~on_response:(fun payload ->
+        (match Result_cache.split_id payload with
+        | Some (id, _) when id >= 1 && id <= total ->
+          Obs.Hist.observe hist (Obs.Clock.now_ns () - sched (id - 1))
+        | _ -> ());
+        let status = Client.status_of_payload payload in
+        let n = Option.value ~default:0 (Hashtbl.find_opt tallies status) in
+        Hashtbl.replace tallies status (n + 1))
   in
-  (try
-     for i = 0 to total - 1 do
-       let now = Obs.Clock.now_ns () in
-       let target = sched i in
-       if target > now then
-         Unix.sleepf (float_of_int (target - now) /. 1e9);
-       Protocol.write_frame (Client.fd conn) (payload i);
-       Atomic.incr sent
-     done
-   with _ -> ());
-  Atomic.set writer_done true;
-  (try Unix.shutdown (Client.fd conn) Unix.SHUTDOWN_SEND
-   with Unix.Unix_error _ -> ());
-  let completed = Domain.join reader in
   let wall_s = Obs.Clock.to_s (Obs.Clock.elapsed_ns t0) in
   Client.close conn;
-  let sent = Atomic.get sent in
   let ms ns = float_of_int ns /. 1e6 in
   let pct q = ms (Obs.Hist.percentile hist q) in
   let max_ms =

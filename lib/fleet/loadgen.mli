@@ -9,9 +9,9 @@
     from its {e scheduled} arrival time, charging the server for
     queueing even when the sender fell behind.
 
-    All requests pipeline over one connection; a reader domain collects
-    responses and feeds an {!Obs.Hist}, exactly like the batch client's
-    pipelined attempt.  There are no retries — the harness is a
+    All requests pipeline over one connection through the batch
+    client's {!Server.Client.pipeline}, whose reader domain feeds an
+    {!Obs.Hist}.  There are no retries — the harness is a
     measurement instrument, not a delivery mechanism. *)
 
 type report = {

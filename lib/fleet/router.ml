@@ -1,4 +1,5 @@
 module Protocol = Server.Protocol
+module Conn = Server.Conn
 module Daemon = Server.Daemon
 module Cache = Server.Cache
 module Json = Obs.Json
@@ -50,18 +51,9 @@ let shard_socket addr i =
 
 (* --------------------------------------------------------------- state *)
 
-type cconn = {
-  fd : Unix.file_descr;
-  cid : int;
-  dec : Protocol.decoder;
-  mutable inflight : int;
-  mutable eof : bool;
-  mutable closed : bool;
-}
-
 type pkind =
   | Client of {
-      client : cconn;
+      client : Conn.t;
       client_id : int;
       ckey : string option;  (* result-cache key; [None] = do not insert *)
       enq_ns : int;
@@ -116,32 +108,11 @@ let say st fmt =
 let bump st name n = Obs.Counters.add (Obs.Metrics.counters st.metrics) name n
 let observe st name v = Obs.Metrics.observe st.metrics name v
 
-(* ------------------------------------------------------- client writes *)
-
-let close_cconn conn =
-  if not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* One response frame to a client; a dead peer or an injected [writer]
-   fault poisons that connection only (the retrying batch client
-   reconnects and replays its unanswered requests). *)
-let send_client st conn payload =
-  if not conn.closed then
-    try
-      Obs.Failpoint.hit st.fp "writer";
-      Protocol.write_frame conn.fd payload
-    with _ ->
-      bump st "router.conn_aborted" 1;
-      close_cconn conn
-
 (* One routed request fully settled (answered or its connection gone). *)
 let complete st serial conn =
   Hashtbl.remove st.pending serial;
   bump st "server.inflight" (-1);
-  conn.inflight <- conn.inflight - 1;
-  if conn.eof && conn.inflight = 0 then close_cconn conn
+  Conn.finish conn
 
 (* -------------------------------------------------- shard supervision *)
 
@@ -157,7 +128,7 @@ let give_up st serial p =
   | Probe -> Hashtbl.remove st.pending serial
   | Client c ->
     bump st "router.internal_error" 1;
-    send_client st c.client
+    Conn.send c.client
       (Protocol.error_response ~id:c.client_id "internal_error"
          (Printf.sprintf "shard %d unavailable after %d deliveries" p.p_shard
             p.p_attempts));
@@ -365,35 +336,27 @@ let handle_shard_frame st sh payload =
         | Some key when status_is_ok suffix ->
           Result_cache.add st.rc ~key ~suffix
         | _ -> ());
-        send_client st c.client (Result_cache.splice_id ~id:c.client_id suffix);
+        Conn.send c.client (Result_cache.splice_id ~id:c.client_id suffix);
         observe st "server.e2e_ns" (Obs.Clock.now_ns () - c.enq_ns);
         complete st serial c.client))
 
-let handle_shard_readable st sh buf =
-  match sh.s_fd with
-  | None -> ()
-  | Some fd -> (
-    let n =
-      try Unix.read fd buf 0 (Bytes.length buf) with
-      | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        -1
-    in
-    if n = 0 then shard_down st sh "connection closed"
-    else if n > 0 then begin
-      Protocol.feed sh.s_dec buf 0 n;
-      let rec frames () =
-        match Protocol.next sh.s_dec with
-        | exception Protocol.Frame_too_large _ ->
-          shard_down st sh "oversized response frame"
-        | Some payload ->
-          handle_shard_frame st sh payload;
-          frames ()
-        | None -> ()
-      in
-      frames ()
-    end)
+let shard_fds st =
+  Array.to_list st.shards |> List.filter_map (fun sh -> sh.s_fd)
+
+(* One readable tick of every shard connection in [ready]. *)
+let read_shards st ready buf =
+  Array.iter
+    (fun sh ->
+      match sh.s_fd with
+      | Some fd when List.mem fd ready -> (
+        match
+          Protocol.pump sh.s_dec fd buf ~on_frame:(handle_shard_frame st sh)
+        with
+        | Protocol.Open -> ()
+        | Protocol.Eof -> shard_down st sh "connection closed"
+        | Protocol.Oversized _ -> shard_down st sh "oversized response frame")
+      | _ -> ())
+    st.shards
 
 (* ------------------------------------------------------------ requests *)
 
@@ -444,12 +407,12 @@ let stats_payload st ~id ~prom =
 
 let reject st conn ~id reason =
   bump st "router.overloaded" 1;
-  send_client st conn (Protocol.error_response ~id "overloaded" reason)
+  Conn.send conn (Protocol.error_response ~id "overloaded" reason)
 
 let admit st conn (req : Protocol.request) (c : Protocol.compute) =
   let id = req.Protocol.id in
   if st.draining then reject st conn ~id "router is draining"
-  else if conn.inflight >= max_inflight then
+  else if Conn.inflight conn >= max_inflight then
     reject st conn ~id "connection in-flight cap reached"
   else begin
     let ckey = Protocol.canonical_of_request ~id:0 ~drop_jobs:true req in
@@ -458,7 +421,7 @@ let admit st conn (req : Protocol.request) (c : Protocol.compute) =
       bump st "server.result_hit" 1;
       bump st "server.accepted" 1;
       let t0 = Obs.Clock.now_ns () in
-      send_client st conn (Result_cache.splice_id ~id suffix);
+      Conn.send conn (Result_cache.splice_id ~id suffix);
       observe st "server.e2e_ns" (Obs.Clock.now_ns () - t0)
     | None -> (
       bump st "server.result_miss" 1;
@@ -486,7 +449,7 @@ let admit st conn (req : Protocol.request) (c : Protocol.compute) =
                 };
             p_attempts = 0;
           };
-        conn.inflight <- conn.inflight + 1;
+        Conn.admit conn;
         bump st "server.accepted" 1;
         bump st "server.inflight" 1;
         if sh.s_up then dispatch st sh serial
@@ -498,7 +461,7 @@ let handle_payload st conn payload =
   match Protocol.request_of_string payload with
   | exception Protocol.Bad_request msg ->
     bump st "router.bad_request" 1;
-    send_client st conn
+    Conn.send conn
       (Protocol.error_response ~id:(Protocol.salvage_id payload) "error" msg)
   | req -> (
     let id = req.Protocol.id in
@@ -509,10 +472,10 @@ let handle_payload st conn payload =
        start the fanned-out drain. *)
     | Protocol.Ping ->
       bump st "server.accepted" 1;
-      send_client st conn (Protocol.ok_response ~id "ping")
+      Conn.send conn (Protocol.ok_response ~id "ping")
     | Protocol.Stats { prom } ->
       bump st "server.accepted" 1;
-      send_client st conn (stats_payload st ~id ~prom)
+      Conn.send conn (stats_payload st ~id ~prom)
     | Protocol.Chaos { spec } -> (
       bump st "server.accepted" 1;
       let configured =
@@ -525,52 +488,16 @@ let handle_payload st conn payload =
       match configured with
       | Error msg ->
         bump st "router.bad_request" 1;
-        send_client st conn (Protocol.error_response ~id "error" msg)
-      | Ok () -> send_client st conn (Protocol.chaos_response ~id st.fp))
+        Conn.send conn (Protocol.error_response ~id "error" msg)
+      | Ok () -> Conn.send conn (Protocol.chaos_response ~id st.fp))
     | Protocol.Shutdown ->
       bump st "server.accepted" 1;
-      send_client st conn (Protocol.ok_response ~id "shutdown");
+      Conn.send conn (Protocol.ok_response ~id "shutdown");
       say st "shutdown requested";
       Atomic.set st.drain_flag true
     | Protocol.Generate { c; _ } | Protocol.Compact { c; _ }
     | Protocol.Table { c } ->
       admit st conn req c)
-
-let handle_client_readable st conn buf =
-  let n =
-    try Unix.read conn.fd buf 0 (Bytes.length buf) with
-    | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      -1
-  in
-  if n = 0 then begin
-    conn.eof <- true;
-    (* the peer hung up mid-frame: counted as the daemon counts it *)
-    if Protocol.pending conn.dec > 0 then begin
-      bump st "router.bad_request" 1;
-      bump st "router.conn_aborted" 1
-    end;
-    if conn.inflight = 0 then close_cconn conn
-  end
-  else if n > 0 then begin
-    Protocol.feed conn.dec buf 0 n;
-    let rec frames () =
-      match Protocol.next conn.dec with
-      | exception Protocol.Frame_too_large { announced; max } ->
-        bump st "router.bad_request" 1;
-        bump st "router.conn_aborted" 1;
-        send_client st conn
-          (Protocol.error_response ~id:0 "error"
-             (Printf.sprintf "frame of %d bytes exceeds maximum %d" announced
-                max));
-        close_cconn conn
-      | Some payload ->
-        handle_payload st conn payload;
-        frames ()
-      | None -> ()
-    in
-    frames ()
-  end
 
 (* ----------------------------------------------------------- lifecycle *)
 
@@ -593,19 +520,9 @@ let drain st conns listen_fd buf =
   while client_pending st > 0 && Unix.gettimeofday () < deadline do
     let now = Unix.gettimeofday () in
     supervise st now;
-    let sfds =
-      Array.to_list st.shards
-      |> List.filter_map (fun sh -> sh.s_fd)
-    in
-    (match Unix.select sfds [] [] 0.05 with
+    match Unix.select (shard_fds st) [] [] 0.05 with
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-    | ready, _, _ ->
-      Array.iter
-        (fun sh ->
-          match sh.s_fd with
-          | Some fd when List.mem fd ready -> handle_shard_readable st sh buf
-          | _ -> ())
-        st.shards)
+    | ready, _, _ -> read_shards st ready buf
   done;
   (* answer whatever could not be completed inside the grace window *)
   let leftovers =
@@ -617,7 +534,7 @@ let drain st conns listen_fd buf =
       | Probe -> Hashtbl.remove st.pending serial
       | Client c ->
         bump st "router.internal_error" 1;
-        send_client st c.client
+        Conn.send c.client
           (Protocol.error_response ~id:c.client_id "internal_error"
              "router drained before the shard answered");
         complete st serial c.client)
@@ -647,7 +564,7 @@ let drain st conns listen_fd buf =
         Shard.reap proc;
         (try Unix.unlink sh.s_socket with Unix.Unix_error _ -> ()))
     st.shards;
-  List.iter close_cconn conns;
+  List.iter Conn.close conns;
   (match st.cfg.metrics_path with
   | None -> ()
   | Some path -> Obs.Metrics.write_file st.metrics path);
@@ -709,50 +626,36 @@ let run cfg =
   let rec loop conns =
     if Atomic.get st.drain_flag then conns
     else begin
-      let conns = List.filter (fun c -> not c.closed) conns in
+      let conns = List.filter Conn.alive conns in
       supervise st (Unix.gettimeofday ());
       let cfds =
-        List.filter_map (fun c -> if c.eof then None else Some c.fd) conns
+        List.filter_map
+          (fun (c : Conn.t) -> if c.eof then None else Some c.fd)
+          conns
       in
-      let sfds =
-        Array.to_list st.shards |> List.filter_map (fun sh -> sh.s_fd)
-      in
-      match Unix.select ((listen_fd :: cfds) @ sfds) [] [] 0.1 with
+      match Unix.select ((listen_fd :: cfds) @ shard_fds st) [] [] 0.1 with
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) ->
         loop conns
       | ready, _, _ ->
         let conns =
-          if List.mem listen_fd ready then (
-            match Unix.accept ~cloexec:true listen_fd with
-            | exception Unix.Unix_error _ -> conns
-            | fd, _sa ->
-              (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0
-               with Unix.Unix_error _ -> ());
-              st.next_cid <- st.next_cid + 1;
-              let conn =
-                {
-                  fd;
-                  cid = st.next_cid;
-                  dec = Protocol.decoder ();
-                  inflight = 0;
-                  eof = false;
-                  closed = false;
-                }
-              in
-              say st "client connection %d" conn.cid;
-              conn :: conns)
-          else conns
+          if not (List.mem listen_fd ready) then conns
+          else
+            match
+              Conn.accept ~fp:st.fp
+                ~count:(fun k -> bump st ("router." ^ k) 1)
+                ~cid:(st.next_cid + 1) listen_fd
+            with
+            | None -> conns
+            | Some c ->
+              st.next_cid <- c.cid;
+              say st "client connection %d" c.cid;
+              c :: conns
         in
-        Array.iter
-          (fun sh ->
-            match sh.s_fd with
-            | Some fd when List.mem fd ready -> handle_shard_readable st sh buf
-            | _ -> ())
-          st.shards;
+        read_shards st ready buf;
         List.iter
-          (fun c ->
-            if (not c.eof) && (not c.closed) && List.mem c.fd ready then
-              handle_client_readable st c buf)
+          (fun (c : Conn.t) ->
+            if List.mem c.fd ready then
+              Conn.read c buf ~on_frame:(handle_payload st c))
           conns;
         loop conns
     end

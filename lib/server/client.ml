@@ -35,44 +35,34 @@ type outcome = {
 }
 
 let read_lines path =
-  let ic =
-    try open_in path
-    with Sys_error msg -> failwith (Printf.sprintf "scanatpg batch: %s" msg)
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line ->
-          let acc = if String.trim line = "" then acc else line :: acc in
-          go acc
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg -> failwith ("scanatpg batch: " ^ msg)
+  | text ->
+    List.filter
+      (fun line -> String.trim line <> "")
+      (String.split_on_char '\n' text)
 
-(* Normalise one input line into (id, payload): parse, keep an explicit
-   integer id, otherwise stamp the 1-based line position. *)
-let prepare idx line =
-  let doc =
-    try Obs.Json.parse line
-    with Obs.Json.Parse_error { pos; message } ->
-      failwith
-        (Printf.sprintf "scanatpg batch: request %d: parse error at %d: %s"
-           (idx + 1) pos message)
-  in
-  match doc with
-  | Obs.Json.Obj fields -> (
-    match Obs.Json.member "id" doc with
-    | Some (Obs.Json.Int id) -> (id, Obs.Json.to_string doc)
-    | _ ->
-      let id = idx + 1 in
-      let doc = Obs.Json.Obj (("id", Obs.Json.Int id) :: fields) in
-      (id, Obs.Json.to_string doc))
+let object_fields ~what idx line =
+  match Obs.Json.parse line with
+  | exception Obs.Json.Parse_error { pos; message } ->
+    failwith
+      (Printf.sprintf "scanatpg batch: %s %d: parse error at %d: %s" what
+         (idx + 1) pos message)
+  | Obs.Json.Obj fields -> fields
   | _ ->
     failwith
-      (Printf.sprintf "scanatpg batch: request %d is not a JSON object"
+      (Printf.sprintf "scanatpg batch: %s %d is not a JSON object" what
          (idx + 1))
+
+(* Normalise one input line into (id, payload): keep an explicit integer
+   id, otherwise stamp the 1-based line position. *)
+let prepare idx line =
+  let fields = object_fields ~what:"request" idx line in
+  match List.assoc_opt "id" fields with
+  | Some (Obs.Json.Int id) -> (id, Obs.Json.to_string (Obs.Json.Obj fields))
+  | _ ->
+    let id = idx + 1 in
+    (id, Obs.Json.to_string (Obs.Json.Obj (("id", Obs.Json.Int id) :: fields)))
 
 let status_of_payload payload =
   match Obs.Json.parse payload with
@@ -92,43 +82,55 @@ let id_of_payload payload =
    wall-clock or PRNG input). *)
 let jitter_ms attempt = attempt * 0x9E3779B1 land 0x3F
 
-(* One connection's worth of work: pipeline [todo], collect whatever
-   responses come back into [got].  A reader domain collects while we
-   are still writing, so a full socket buffer in either direction can
-   never deadlock the pipeline.  Both sides absorb connection failure —
-   a died connection just leaves requests unanswered for the caller's
-   retry loop to replay. *)
-let run_attempt conn todo got gmu =
-  let expected = List.length todo in
+(* The reader domain collects while the caller is still writing, so a
+   full socket buffer in either direction can never deadlock the
+   pipeline.  It stops once every written frame is answered, or at the
+   peer's hang-up.  Both sides absorb connection failure. *)
+let pipeline conn ~write ~on_response =
+  let sent = Atomic.make 0 in
+  let written = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
-        let rec go n =
-          if n >= expected then ()
+        let rec go got =
+          if Atomic.get written && got >= Atomic.get sent then got
           else
             match Protocol.read_frame conn.fd with
-            | exception _ -> ()
-            | None -> ()
+            | exception _ -> got
+            | None -> got
             | Some payload ->
-              (match id_of_payload payload with
-              | Some id ->
-                Mutex.lock gmu;
-                Hashtbl.replace got id payload;
-                Mutex.unlock gmu
-              | None -> ());
-              go (n + 1)
+              on_response payload;
+              go (got + 1)
         in
         go 0)
   in
   (try
-     List.iter (fun (_, payload) -> Protocol.write_frame conn.fd payload) todo;
-     Unix.shutdown conn.fd Unix.SHUTDOWN_SEND
+     write (fun payload ->
+         Protocol.write_frame conn.fd payload;
+         Atomic.incr sent)
    with _ -> ());
-  Domain.join reader
+  Atomic.set written true;
+  (try Unix.shutdown conn.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let received = Domain.join reader in
+  (Atomic.get sent, received)
+
+(* Responses are collected by id, so two requests sharing one would
+   silently swap or lose a response. *)
+let check_unique_ids requests =
+  let seen = Hashtbl.create 64 in
+  List.iteri
+    (fun idx (id, _) ->
+      match Hashtbl.find_opt seen id with
+      | Some first ->
+        failwith
+          (Printf.sprintf "scanatpg batch: requests %d and %d share id %d"
+             (first + 1) (idx + 1) id)
+      | None -> Hashtbl.add seen id idx)
+    requests
 
 let run_batch ~addr ~input ?output ?(retries = 0) ?(backoff_ms = 100) () =
   let requests = List.mapi prepare (read_lines input) in
+  check_unique_ids requests;
   let got = Hashtbl.create 64 in
-  let gmu = Mutex.create () in
   let missing () =
     List.filter (fun (id, _) -> not (Hashtbl.mem got id)) requests
   in
@@ -157,7 +159,14 @@ let run_batch ~addr ~input ?output ?(retries = 0) ?(backoff_ms = 100) () =
       | conn ->
         Fun.protect
           ~finally:(fun () -> close conn)
-          (fun () -> run_attempt conn todo got gmu));
+          (fun () ->
+            ignore
+              (pipeline conn
+                 ~write:(fun send -> List.iter (fun (_, p) -> send p) todo)
+                 ~on_response:(fun payload ->
+                   Option.iter
+                     (fun id -> Hashtbl.replace got id payload)
+                     (id_of_payload payload)))));
       incr attempt
     end
   done;

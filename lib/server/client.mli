@@ -15,6 +15,28 @@ val fd : conn -> Unix.file_descr
     response frame.  Raises [Failure] if the daemon hangs up first. *)
 val call : conn -> string -> string
 
+(** [pipeline conn ~write ~on_response] calls [write send] on the
+    calling domain, where [send] writes one request frame, while a
+    reader domain passes each response frame to [on_response]; then it
+    half-closes [conn] and returns, once every sent frame is answered or
+    the peer hangs up, the number of frames sent and of responses read.
+    A transport failure on either side just ends that side early. *)
+val pipeline :
+  conn -> write:((string -> unit) -> unit) -> on_response:(string -> unit) ->
+  int * int
+
+(** The non-blank lines of a JSONL file.
+    @raise Failure when it cannot be read. *)
+val read_lines : string -> string list
+
+(** [object_fields ~what idx line] parses the JSONL line at 0-based
+    position [idx] into an object's fields.
+    @raise Failure naming [what] and [idx + 1] when it is not one. *)
+val object_fields : what:string -> int -> string -> (string * Obs.Json.t) list
+
+(** The ["status"] of a response payload, ["error"] when it has none. *)
+val status_of_payload : string -> string
+
 (** Outcome of one batch request, in input-file order. *)
 type outcome = {
   id : int;
@@ -41,8 +63,8 @@ type outcome = {
     Returns the outcomes in request order.  A response never delivered
     (daemon drained away mid-batch, retries exhausted) reports status
     ["lost"].
-    @raise Failure when [input] is unreadable or a line is not a JSON
-    object. *)
+    @raise Failure, before connecting, when [input] is unreadable, a
+    line is not a JSON object, or two requests share an id. *)
 val run_batch :
   addr:Daemon.addr ->
   input:string ->

@@ -47,26 +47,8 @@ let default_config addr =
     verbose = false;
   }
 
-(* Per-connection state.  [dec], [eof], [last_ns] and [partial_ns] belong
-   to the accept loop alone; [inflight] and [closed] are shared with
-   workers and guarded by [wmu], which also serialises response writes so
-   frames never interleave. *)
-type conn = {
-  fd : Unix.file_descr;
-  cid : int;  (* connection serial, for trace ids *)
-  peer : string;
-  dec : Protocol.decoder;
-  wmu : Mutex.t;
-  mutable reqs : int;  (* accept loop only: requests seen on this conn *)
-  mutable inflight : int;
-  mutable eof : bool;
-  mutable closed : bool;
-  mutable last_ns : int;  (* last byte received (idle-timeout clock) *)
-  mutable partial_ns : int;  (* first byte of an incomplete frame, or 0 *)
-}
-
 type job = {
-  conn : conn;
+  conn : Conn.t;
   req : Protocol.request;
   budget : Obs.Budget.t;
   trace_id : string;
@@ -132,39 +114,13 @@ let log_line st ~id ~peer ~trace_id ?(queue_wait_ns = 0) ?(service_ns = 0)
     flush oc;
     Mutex.unlock st.logmu
 
-let close_conn_locked conn =
-  if not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Write one response frame; a dead peer (EPIPE, reset, send timeout) or
-   an injected [writer] fault poisons the connection but never the
-   daemon.  Every abort is counted under [server.conn_aborted] so the
-   loss is visible without relying on writer-side EPIPE handling. *)
-let send st conn payload =
-  Mutex.lock conn.wmu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.wmu)
-    (fun () ->
-      if not conn.closed then
-        try
-          Obs.Failpoint.hit st.fp "writer";
-          Protocol.write_frame conn.fd payload
-        with _ ->
-          Service.bump st.svc "server.conn_aborted" 1;
-          close_conn_locked conn)
-
 (* One compute response fully delivered (or its connection is gone). *)
 let finish_one st serial conn =
   Mutex.lock st.qmu;
   Hashtbl.remove st.active serial;
   Mutex.unlock st.qmu;
   Service.bump st.svc "server.inflight" (-1);
-  Mutex.lock conn.wmu;
-  conn.inflight <- conn.inflight - 1;
-  if conn.eof && conn.inflight = 0 then close_conn_locked conn;
-  Mutex.unlock conn.wmu;
+  Conn.finish conn;
   ignore (Atomic.fetch_and_add st.unfinished (-1))
 
 (* One compute job: latency accounting and per-request tracing around
@@ -192,7 +148,7 @@ let run_job st serial job =
         Service.execute st.svc ~budget:job.budget ~trace:rt job.req)
   in
   let service_ns = Obs.Clock.now_ns () - deq_ns in
-  send st job.conn payload;
+  Conn.send job.conn payload;
   let e2e_ns = Obs.Clock.now_ns () - job.enq_ns in
   Service.observe st.svc "server.queue_wait_ns" queue_wait_ns;
   Service.observe st.svc "server.service_ns" service_ns;
@@ -204,7 +160,7 @@ let run_job st serial job =
     | None -> false
   in
   if slow then Service.bump st.svc "server.slow_requests" 1;
-  log_line st ~id:job.req.Protocol.id ~peer:job.conn.peer
+  log_line st ~id:job.req.Protocol.id ~peer:job.conn.Conn.peer
     ~trace_id:job.trace_id ~queue_wait_ns ~service_ns ~bytes_in:job.bytes_in
     ~bytes_out:(String.length payload + 4)
     ?spans:
@@ -236,9 +192,9 @@ let contain st serial job e =
   | Obs.Failpoint.Injected _ -> ()
   | _ -> Service.bump st.svc "server.worker_restarts" 1);
   Service.bump st.svc "server.internal_error" 1;
-  send st job.conn
+  Conn.send job.conn
     (Protocol.error_response ~id:job.req.Protocol.id "internal_error" msg);
-  log_line st ~id:job.req.Protocol.id ~peer:job.conn.peer
+  log_line st ~id:job.req.Protocol.id ~peer:job.conn.Conn.peer
     ~trace_id:job.trace_id ~bytes_in:job.bytes_in
     {
       Service.status = "internal_error";
@@ -283,12 +239,11 @@ let request_drain st =
   Mutex.unlock st.qmu;
   Atomic.set st.drain_flag true
 
-let handle_payload st conn payload =
+let handle_payload st (conn : Conn.t) payload =
   (* Trace ids are deterministic per connection: [c<cid>-r<n>] — every
      request on a connection shares the [c<cid>] prefix, and [n] counts
-     requests in arrival order (the accept loop is the only writer). *)
-  conn.reqs <- conn.reqs + 1;
-  let trace_id = Printf.sprintf "c%d-r%d" conn.cid conn.reqs in
+     its frames in arrival order. *)
+  let trace_id = Printf.sprintf "c%d-r%d" conn.cid conn.frames in
   let bytes_in = String.length payload + 4 in
   let enq_ns = Obs.Clock.now_ns () in
   match Protocol.request_of_string payload with
@@ -296,7 +251,7 @@ let handle_payload st conn payload =
     let id = Protocol.salvage_id payload in
     Service.bump st.svc "server.bad_request" 1;
     let resp = Protocol.error_response ~id "error" msg in
-    send st conn resp;
+    Conn.send conn resp;
     log_line st ~id ~peer:conn.peer ~trace_id ~bytes_in
       ~bytes_out:(String.length resp + 4)
       { Service.status = "error"; op = "?"; circuit = "-"; cache = "-" }
@@ -311,7 +266,7 @@ let handle_payload st conn payload =
       let resp, meta =
         Service.execute st.svc ~budget:(Obs.Budget.create ()) req
       in
-      send st conn resp;
+      Conn.send conn resp;
       let service_ns = Obs.Clock.now_ns () - enq_ns in
       Service.observe st.svc "server.queue_wait_ns" 0;
       Service.observe st.svc "server.service_ns" service_ns;
@@ -340,7 +295,7 @@ let handle_payload st conn payload =
           Protocol.error_response ~id:req.Protocol.id "internal_error"
             "injected fault at queue"
         in
-        send st conn resp;
+        Conn.send conn resp;
         log_line st ~id:req.Protocol.id ~peer:conn.peer ~trace_id ~bytes_in
           ~bytes_out:(String.length resp + 4)
           {
@@ -351,12 +306,7 @@ let handle_payload st conn payload =
           }
       end
       else begin
-      let conn_inflight =
-        Mutex.lock conn.wmu;
-        let k = conn.inflight in
-        Mutex.unlock conn.wmu;
-        k
-      in
+      let conn_inflight = Conn.inflight conn in
       Mutex.lock st.qmu;
       let reject reason =
         Mutex.unlock st.qmu;
@@ -364,7 +314,7 @@ let handle_payload st conn payload =
         let resp =
           Protocol.error_response ~id:req.Protocol.id "overloaded" reason
         in
-        send st conn resp;
+        Conn.send conn resp;
         log_line st ~id:req.Protocol.id ~peer:conn.peer ~trace_id ~bytes_in
           ~bytes_out:(String.length resp + 4)
           {
@@ -395,66 +345,10 @@ let handle_payload st conn payload =
         Mutex.unlock st.qmu;
         Service.bump st.svc "server.accepted" 1;
         Service.bump st.svc "server.inflight" 1;
-        Mutex.lock conn.wmu;
-        conn.inflight <- conn.inflight + 1;
-        Mutex.unlock conn.wmu;
+        Conn.admit conn;
         Condition.signal st.qcv
       end
       end)
-
-let mark_eof st conn =
-  conn.eof <- true;
-  if Protocol.pending conn.dec > 0 then begin
-    (* The peer hung up mid-frame: the buffered prefix can never become
-       a request, so the loss is accounted rather than silently dropped. *)
-    Service.bump st.svc "server.bad_request" 1;
-    Service.bump st.svc "server.conn_aborted" 1
-  end;
-  Mutex.lock conn.wmu;
-  if conn.inflight = 0 then close_conn_locked conn;
-  Mutex.unlock conn.wmu
-
-let handle_readable st conn buf =
-  let n =
-    try Unix.read conn.fd buf 0 (Bytes.length buf) with
-    | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      -1
-  in
-  if n = 0 then mark_eof st conn
-  else if n > 0 then begin
-    conn.last_ns <- Obs.Clock.now_ns ();
-    Protocol.feed conn.dec buf 0 n;
-    let rec frames () =
-      match Protocol.next conn.dec with
-      | exception Protocol.Frame_too_large { announced; max } ->
-        (* The stream cannot be resynchronised past a bogus length
-           prefix; answer with a typed error (best effort — the sender
-           may already be gone), then hang up. *)
-        Service.bump st.svc "server.bad_request" 1;
-        Service.bump st.svc "server.conn_aborted" 1;
-        send st conn
-          (Protocol.error_response ~id:0 "error"
-             (Printf.sprintf "frame of %d bytes exceeds maximum %d" announced
-                max));
-        Mutex.lock conn.wmu;
-        close_conn_locked conn;
-        Mutex.unlock conn.wmu
-      | Some payload ->
-        handle_payload st conn payload;
-        frames ()
-      | None -> ()
-    in
-    frames ();
-    (* Track how long an incomplete frame has been pending, for the
-       read-deadline sweep (slowloris defence): [partial_ns] stamps the
-       first byte of the current partial frame and clears once it
-       completes. *)
-    if Protocol.pending conn.dec > 0 then begin
-      if conn.partial_ns = 0 then conn.partial_ns <- conn.last_ns
-    end
-    else conn.partial_ns <- 0
-  end
 
 (* Both listener and accepted fds are close-on-exec: a worker that
    shells out (or a future exec-based helper) must not hold the service
@@ -473,19 +367,9 @@ let listen_socket = function
     Unix.listen fd 64;
     fd
 
-let peer_of_sockaddr = function
-  | Unix.ADDR_UNIX _ -> "unix"
-  | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-
 let addr_to_string = function
   | Unix_sock path -> path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
-let conn_alive conn =
-  Mutex.lock conn.wmu;
-  let alive = not conn.closed in
-  Mutex.unlock conn.wmu;
-  alive
 
 let drain st conns listen_fd workers =
   Mutex.lock st.qmu;
@@ -509,12 +393,7 @@ let drain st conns listen_fd workers =
     Unix.sleepf 0.02
   done;
   List.iter Domain.join workers;
-  List.iter
-    (fun conn ->
-      Mutex.lock conn.wmu;
-      close_conn_locked conn;
-      Mutex.unlock conn.wmu)
-    conns;
+  List.iter Conn.close conns;
   (match st.log with
   | None -> ()
   | Some oc ->
@@ -582,62 +461,46 @@ let run cfg =
     (if cfg.jobs = 1 then "" else "s")
     cfg.queue_depth;
   let buf = Bytes.create 65536 in
+  let count k = Service.bump st.svc ("server." ^ k) 1 in
   let rec loop conns =
     if Atomic.get st.drain_flag then conns
     else begin
-      let conns = List.filter conn_alive conns in
+      let conns = List.filter Conn.alive conns in
       let rfds =
-        List.filter_map (fun c -> if c.eof then None else Some c.fd) conns
+        List.filter_map
+          (fun (c : Conn.t) -> if c.eof then None else Some c.fd)
+          conns
       in
       match Unix.select (listen_fd :: rfds) [] [] 0.1 with
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) ->
         loop conns
       | ready, _, _ ->
         let conns =
-          if List.mem listen_fd ready then (
-            match Unix.accept ~cloexec:true listen_fd with
-            | exception Unix.Unix_error _ -> conns
-            | fd, sa -> (
+          if not (List.mem listen_fd ready) then conns
+          else
+            match
+              Conn.accept ~fp:st.fp ~count ~cid:(st.next_cid + 1) listen_fd
+            with
+            | None -> conns
+            | Some c -> (
               match Obs.Failpoint.hit st.fp "accept" with
               | exception (Obs.Failpoint.Injected _ | Obs.Failpoint.Crashed _)
                 ->
                 (* An injected accept failure drops the connection on
                    the floor — to the peer it looks like a reset, which
                    is exactly what the retrying client must survive. *)
-                Service.bump st.svc "server.conn_aborted" 1;
-                (try Unix.close fd with Unix.Unix_error _ -> ());
+                count "conn_aborted";
+                Conn.close c;
                 conns
               | () ->
-                (match sa with
-                | Unix.ADDR_INET _ -> (
-                  try Unix.setsockopt fd Unix.SO_KEEPALIVE true
-                  with Unix.Unix_error _ -> ())
-                | Unix.ADDR_UNIX _ -> ());
-                (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0
-                 with Unix.Unix_error _ -> ());
-                st.next_cid <- st.next_cid + 1;
-                let conn =
-                  {
-                    fd;
-                    cid = st.next_cid;
-                    peer = peer_of_sockaddr sa;
-                    dec = Protocol.decoder ();
-                    wmu = Mutex.create ();
-                    reqs = 0;
-                    inflight = 0;
-                    eof = false;
-                    closed = false;
-                    last_ns = Obs.Clock.now_ns ();
-                    partial_ns = 0;
-                  }
-                in
-                say st "connection from %s" conn.peer;
-                conn :: conns))
-          else conns
+                st.next_cid <- c.cid;
+                say st "connection from %s" c.peer;
+                c :: conns)
         in
         List.iter
-          (fun c ->
-            if (not c.eof) && List.mem c.fd ready then handle_readable st c buf)
+          (fun (c : Conn.t) ->
+            if List.mem c.fd ready then
+              Conn.read c buf ~on_frame:(handle_payload st c))
           conns;
         (* Deadline sweep, once per select tick (so granularity is the
            select timeout, 100ms): a connection stuck mid-frame past the
@@ -647,18 +510,14 @@ let run cfg =
            benignly racy — a miss is caught on the next tick. *)
         let now = Obs.Clock.now_ns () in
         List.iter
-          (fun c ->
+          (fun (c : Conn.t) ->
             if (not c.eof) && not c.closed then begin
               (match st.cfg.read_deadline_s with
               | Some d
                 when c.partial_ns > 0
                      && now - c.partial_ns > int_of_float (d *. 1e9) ->
-                Service.bump st.svc "server.bad_request" 1;
-                Service.bump st.svc "server.conn_aborted" 1;
                 say st "read deadline (%.1fs) exceeded by %s, closing" d c.peer;
-                Mutex.lock c.wmu;
-                close_conn_locked c;
-                Mutex.unlock c.wmu
+                Conn.abort c
               | _ -> ());
               match st.cfg.idle_timeout_s with
               | Some d
@@ -667,9 +526,7 @@ let run cfg =
                      && now - c.last_ns > int_of_float (d *. 1e9) ->
                 Service.bump st.svc "server.conn_idle_closed" 1;
                 say st "idle timeout (%.1fs) for %s, closing" d c.peer;
-                Mutex.lock c.wmu;
-                close_conn_locked c;
-                Mutex.unlock c.wmu
+                Conn.close c
               | _ -> ()
             end)
           conns;

@@ -107,6 +107,31 @@ let read_frame ?(max_frame = max_frame_default) fd =
     if not (fill body 0 len) then failwith "connection closed mid-frame";
     Some (Bytes.unsafe_to_string body)
 
+type pumped =
+  | Open
+  | Eof
+  | Oversized of { announced : int; max : int }
+
+let pump d fd buf ~on_frame =
+  match Unix.read fd buf 0 (Bytes.length buf) with
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+    Open
+  | 0 -> Eof
+  | n ->
+    feed d buf 0 n;
+    let rec frames () =
+      match next d with
+      | exception Frame_too_large { announced; max } ->
+        Oversized { announced; max }
+      | Some payload ->
+        on_frame payload;
+        frames ()
+      | None -> Open
+    in
+    frames ()
+
 (* ----------------------------------------------------------- requests *)
 
 exception Bad_request of string

@@ -53,6 +53,21 @@ val write_frame : Unix.file_descr -> string -> unit
 
 val read_frame : ?max_frame:int -> Unix.file_descr -> string option
 
+(** What one {!pump} left the connection as. *)
+type pumped =
+  | Open  (** still readable (including an EINTR/EAGAIN wake-up) *)
+  | Eof  (** the peer hung up; ECONNRESET and EPIPE count as EOF *)
+  | Oversized of { announced : int; max : int }
+      (** a length prefix past the decoder's ceiling; the stream cannot
+          be resynchronised *)
+
+(** [pump d fd buf ~on_frame] is one readable tick of a select loop:
+    one [read(2)] of [fd] into [buf], fed to [d], then [on_frame] on
+    every frame it completed, in order.  Frames before an oversized
+    prefix are still delivered. *)
+val pump :
+  decoder -> Unix.file_descr -> bytes -> on_frame:(string -> unit) -> pumped
+
 (** {1 Requests} *)
 
 exception Bad_request of string

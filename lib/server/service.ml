@@ -87,23 +87,14 @@ let config_for entry (c : Protocol.compute) =
 
 (* --------------------------------------------------- response assembly *)
 
-(* Dispatch-schedule telemetry — the speculative counters and the
-   adaptive width/arena/replay-skip counters — legitimately varies with
-   [compact_jobs] and the width trajectory; keeping both families out of
-   response payloads is what makes them byte-identical at any
-   parallelism. *)
-let jobs_dependent_counter name =
-  let has_prefix p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  has_prefix "compaction.speculative." || has_prefix "compaction.adaptive."
-
+(* Dispatch-schedule telemetry legitimately varies with [compact_jobs]
+   and the width trajectory; keeping it out of response payloads is what
+   makes them byte-identical at any parallelism. *)
 let response_counters rm =
   Json.Obj
     (List.filter_map
        (fun (name, v) ->
-         if jobs_dependent_counter name then None
+         if Compaction.Spec.jobs_dependent name then None
          else Some (name, Json.Int v))
        (Obs.Counters.to_alist (Obs.Metrics.counters rm)))
 

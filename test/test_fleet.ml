@@ -106,22 +106,13 @@ let connect_when_up ~what addr =
   in
   go 0
 
-let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
+(* Run the front end [run] on a fresh socket around [f], then shut it
+   down through the wire and demand a clean drain. *)
+let with_front ~what run f =
   let sock = Filename.temp_file "scanatpg_fleet" ".sock" in
   let addr = Server.Daemon.Unix_sock sock in
-  let cfg =
-    {
-      (Fleet.Router.default_config addr ~shards ~launcher:shard_argv)
-      with
-      Fleet.Router.result_cache_capacity;
-      chaos;
-      drain_grace_s = 10.0;
-      install_signals = false;
-      verbose = false;
-    }
-  in
-  let d = Domain.spawn (fun () -> Fleet.Router.run cfg) in
-  Server.Client.close (connect_when_up ~what:"router" addr);
+  let d = Domain.spawn (fun () -> run addr) in
+  Server.Client.close (connect_when_up ~what addr);
   let shutdown () =
     try
       let c = Server.Client.connect addr in
@@ -138,8 +129,34 @@ let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
   in
   shutdown ();
   let code = Domain.join d in
-  Alcotest.(check int) "router drained with exit 0" 0 code;
+  Alcotest.(check int) (what ^ " drained with exit 0") 0 code;
   result
+
+let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
+  with_front ~what:"router"
+    (fun addr ->
+      Fleet.Router.run
+        {
+          (Fleet.Router.default_config addr ~shards ~launcher:shard_argv)
+          with
+          Fleet.Router.result_cache_capacity;
+          chaos;
+          drain_grace_s = 10.0;
+          install_signals = false;
+          verbose = false;
+        })
+    f
+
+let with_serve f =
+  with_front ~what:"daemon"
+    (fun addr ->
+      Server.Daemon.run
+        {
+          (Server.Daemon.default_config addr) with
+          Server.Daemon.install_signals = false;
+          verbose = false;
+        })
+    f
 
 let write_jsonl path lines =
   Obs.Fileio.write_string path (String.concat "\n" lines ^ "\n")
@@ -172,7 +189,7 @@ let counter resp name =
   | Some v -> v
   | None -> 0
 
-let router_stats addr =
+let front_stats addr =
   let c = Server.Client.connect addr in
   Fun.protect
     ~finally:(fun () -> Server.Client.close c)
@@ -255,7 +272,7 @@ let test_router_result_cache_hit () =
             (suffix r2);
           Alcotest.(check string) "jobs variant shares the entry"
             (suffix r1) (suffix r3);
-          let stats = router_stats addr in
+          let stats = front_stats addr in
           Alcotest.(check int) "two hits" 2
             (counter stats "server.result_hit");
           Alcotest.(check int) "one miss" 1
@@ -290,7 +307,7 @@ let test_router_bypass_ops () =
           let chaos =
             Server.Client.call c {|{"id":5,"op":"chaos","spec":"off"}|}
           in
-          let stats = router_stats addr in
+          let stats = front_stats addr in
           Alcotest.(check int) "no result-cache hits" 0
             (counter stats "server.result_hit");
           Alcotest.(check int) "no result-cache misses" 0
@@ -310,7 +327,7 @@ let test_router_bypass_ops () =
           (* one routed request, so the router has a histogram to render *)
           ignore
             (Server.Client.call c {|{"id":6,"op":"generate","circuit":"s27"}|});
-          let stats = J.parse (router_stats addr) in
+          let stats = J.parse (front_stats addr) in
           has_keys "stats reply"
             [ "counters"; "phases"; "histograms"; "result_cache"; "shards" ]
             stats;
@@ -324,11 +341,13 @@ let test_router_bypass_ops () =
               hists
           | _ -> Alcotest.fail "stats reply has no histograms"))
 
-let test_router_midframe_disconnect_accounted () =
-  (* a client that hangs up mid-frame, and one that announces an
-     oversized frame, are each counted as a bad request and a connection
-     abort — the router's counters mirror the daemon's server.* pair *)
-  with_router ~shards:1 (fun addr ->
+(* Both front ends read clients through one [Server.Conn]: a client that
+   hangs up mid-frame, and one that announces an oversized frame, each
+   add exactly one [<prefix>.bad_request] and one [<prefix>.conn_aborted];
+   the oversized one is answered with a typed id-0 error, then hung up
+   on. *)
+let test_midframe_disconnect_accounted (with_front, prefix) () =
+  with_front (fun addr ->
       let sock = sock_path addr in
       let send bytes =
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -336,9 +355,10 @@ let test_router_midframe_disconnect_accounted () =
         ignore (Unix.write_substring fd bytes 0 (String.length bytes));
         fd
       in
+      let count name = counter (front_stats addr) (prefix ^ name) in
       let wait_for name n =
         let rec go k =
-          let v = counter (router_stats addr) name in
+          let v = count name in
           if v >= n || k = 0 then v
           else begin
             Unix.sleepf 0.05;
@@ -350,22 +370,24 @@ let test_router_midframe_disconnect_accounted () =
       (* two bytes of a header, then vanish *)
       Unix.close (send "\x00\x00");
       Alcotest.(check int) "mid-frame EOF counted as a connection abort" 1
-        (wait_for "router.conn_aborted" 1);
-      Alcotest.(check int) "and as a bad request" 1
-        (counter (router_stats addr) "router.bad_request");
+        (wait_for ".conn_aborted" 1);
+      Alcotest.(check int) "and as a bad request" 1 (count ".bad_request");
       (* a length prefix past the 16 MiB ceiling: read the typed error
          before hanging up, so its write cannot fail and add an abort *)
       let fd = send "\x7f\xff\xff\xff" in
       (match P.read_frame fd with
       | Some reply ->
+        let reply = J.parse reply in
+        Alcotest.(check (option int)) "answered under id 0" (Some 0)
+          (Option.bind (J.member "id" reply) J.get_int);
         Alcotest.(check (option string)) "typed error" (Some "error")
-          (Option.bind (J.member "status" (J.parse reply)) J.get_str)
+          (Option.bind (J.member "status" reply) J.get_str)
       | None -> Alcotest.fail "no reply to an oversized frame");
+      Alcotest.(check bool) "then hung up on" true (P.read_frame fd = None);
       Unix.close fd;
       Alcotest.(check int) "oversized frame counted as a connection abort" 2
-        (wait_for "router.conn_aborted" 2);
-      Alcotest.(check int) "and as a bad request" 2
-        (counter (router_stats addr) "router.bad_request"))
+        (wait_for ".conn_aborted" 2);
+      Alcotest.(check int) "and as a bad request" 2 (count ".bad_request"))
 
 let test_router_result_cache_eviction () =
   (* capacity 1: alternating keys never hit *)
@@ -384,7 +406,7 @@ let test_router_result_cache_eviction () =
           ignore (Server.Client.call c (b 2));
           ignore (Server.Client.call c (a 3));
           ignore (Server.Client.call c (b 4));
-          let stats = router_stats addr in
+          let stats = front_stats addr in
           Alcotest.(check int) "every lookup missed" 4
             (counter stats "server.result_miss");
           Alcotest.(check int) "capacity-1 thrash" 0
@@ -405,7 +427,7 @@ let test_router_shard_crash_typed_outcomes () =
         (fun (status, _) ->
           Alcotest.(check string) "typed ok outcome" "ok" status)
         outcomes;
-      let stats = router_stats addr in
+      let stats = front_stats addr in
       Alcotest.(check int) "the kill fired" 1
         (counter stats "router.shard_kills"))
 
@@ -487,13 +509,19 @@ let () =
             test_router_result_cache_hit;
           Alcotest.test_case "bypass ops" `Quick test_router_bypass_ops;
           Alcotest.test_case "mid-frame disconnect accounted" `Quick
-            test_router_midframe_disconnect_accounted;
+            (test_midframe_disconnect_accounted
+               ((fun f -> with_router ~shards:1 f), "router"));
           Alcotest.test_case "result-cache eviction" `Quick
             test_router_result_cache_eviction;
           Alcotest.test_case "shard crash, typed outcomes" `Quick
             test_router_shard_crash_typed_outcomes;
           Alcotest.test_case "retried == clean (routed)" `Quick
             test_router_retried_equals_clean;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "mid-frame disconnect accounted" `Quick
+            (test_midframe_disconnect_accounted (with_serve, "server"));
         ] );
       ( "loadgen",
         [

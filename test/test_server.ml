@@ -579,6 +579,34 @@ let test_daemon_slow_request_logs_spans () =
       ignore (need compact "restore");
       ignore (need (need compact "omit") "omit.pass1"))
 
+(* Responses are collected by id, so a batch in which two requests end up
+   with one id is refused before any connection is tried: the call fails
+   with [Failure] even though nothing listens at the address. *)
+let test_batch_duplicate_ids () =
+  let sock = Filename.temp_file "scanatpg_nosock" ".sock" in
+  Sys.remove sock;
+  let addr = Server.Daemon.Unix_sock sock in
+  let input = Filename.temp_file "scanatpg_batch" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove input with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (what, lines) ->
+          write_jsonl input lines;
+          match Server.Client.run_batch ~addr ~input () with
+          | exception Failure _ -> ()
+          | exception e ->
+            Alcotest.failf "%s: expected Failure, got %s" what
+              (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: batch accepted" what)
+        [
+          ( "explicit ids",
+            [ {|{"id":5,"op":"generate","circuit":"s27","seed":1}|};
+              {|{"id":5,"op":"ping"}|} ] );
+          ( "explicit id equal to an assigned one",
+            [ {|{"op":"ping"}|}; {|{"id":1,"op":"ping"}|} ] );
+        ])
+
 let () =
   Alcotest.run "server"
     [
@@ -620,5 +648,10 @@ let () =
             test_daemon_trace_ids;
           Alcotest.test_case "slow request logs spans" `Quick
             test_daemon_slow_request_logs_spans;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "duplicate ids rejected" `Quick
+            test_batch_duplicate_ids;
         ] );
     ]

@@ -227,13 +227,8 @@ let pipeline_config ~compact_jobs name =
   Core.Config.with_compact_jobs compact_jobs (Core.Config.for_circuit c)
 
 let counters_alist_no_spec m =
-  (* Both jobs-dependent families out: speculative dispatch accounting and
-     the adaptive-width schedule telemetry. *)
   List.filter
-    (fun (k, _) ->
-      not
-        (String.starts_with ~prefix:"compaction.speculative." k
-        || String.starts_with ~prefix:"compaction.adaptive." k))
+    (fun (k, _) -> not (Compaction.Spec.jobs_dependent k))
     (List.sort compare (Obs.Counters.to_alist (Obs.Metrics.counters m)))
 
 let check_result_equal what (a : Core.Pipeline.result) (b : Core.Pipeline.result) =
