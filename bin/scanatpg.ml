@@ -126,31 +126,43 @@ let write_sequence path seq =
     seq;
   Obs.Fileio.write_string path (Buffer.contents b)
 
-let read_sequence path =
+(* Read a sequence file of [width]-bit vectors.  Malformed input (a bad
+   character, a vector of the wrong width, no vector at all) is rejected
+   before any simulation with a message naming the file and the 1-based
+   line. *)
+let read_sequence ~width path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let acc = ref [] in
+      let acc = ref [] and lineno = ref 0 in
+      let bad fmt =
+        Printf.ksprintf invalid_arg ("%s:%d: " ^^ fmt) path !lineno
+      in
       (try
          while true do
            let line = String.trim (input_line ic) in
-           if line <> "" then acc := Logicsim.Vectors.parse line :: !acc
+           incr lineno;
+           if line <> "" then begin
+             let v =
+               try Logicsim.Vectors.parse line
+               with Invalid_argument msg -> bad "%s" msg
+             in
+             if Array.length v <> width then
+               bad "vector width %d does not match circuit inputs (%d)"
+                 (Array.length v) width;
+             acc := v :: !acc
+           end
          done
        with End_of_file -> ());
+      incr lineno;
+      if !acc = [] then bad "no vectors in the sequence file";
       Array.of_list (List.rev !acc))
 
-let setup_scan ~chains ~seed ~jobs ?(compact_jobs = 1) ?(observe = false)
-    circuit =
+let setup_scan ~chains circuit =
   let scan = Scanins.Scan.insert ~chains circuit in
   let model = Faultmodel.Model.build scan.Scanins.Scan.circuit in
-  let cfg =
-    Core.Config.with_compact_jobs compact_jobs
-      (Core.Config.with_sim_jobs jobs
-         { (Core.Config.for_circuit circuit) with
-           Core.Config.chains; seed; observe })
-  in
-  scan, model, cfg
+  scan, model, Netlist.Circuit.input_count scan.Scanins.Scan.circuit
 
 let omission_summary (o : Compaction.Omission.stats) =
   Printf.sprintf "omission: %d trials, %d accepted, %d rejected, %d vectors removed in %d passes"
@@ -164,7 +176,7 @@ let omission_summary (o : Compaction.Omission.stats) =
    stays clean.  The files are written even when [f] raises (e.g. a
    --halt-after stop), so partial runs still leave well-formed
    observability output behind. *)
-let with_obs ~metrics_path ~trace_path ?(trace_format = `Jsonl) f =
+let with_obs metrics_path trace_path trace_format f =
   let metrics = Obs.Metrics.create () in
   let trace =
     match trace_path with
@@ -187,11 +199,15 @@ let with_obs ~metrics_path ~trace_path ?(trace_format = `Jsonl) f =
         trace_path)
     (fun () -> f metrics trace)
 
+(* The --metrics/--trace/--trace-format group of the compute commands,
+   yielding the [with_obs] runner. *)
+let obs_term = Term.(const with_obs $ metrics_arg $ trace_arg $ trace_format_arg)
+
 (* ---------------------------------------------------------------- info *)
 
 let info_cmd =
-  let run spec scale metrics_path trace_path trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+  let run spec scale obs =
+    obs (fun metrics trace ->
         let c =
           Obs.Metrics.timed metrics ~trace "load" (fun () ->
               load_circuit ~scale spec)
@@ -209,19 +225,17 @@ let info_cmd =
           Format.printf "faults: %d collapsed (universe %d)@."
             (Faultmodel.Model.fault_count model)
             model.Faultmodel.Model.universe_size
-        end);
-    0
+        end;
+        0)
   in
   Cmd.v (Cmd.info "info" ~doc:"Show circuit structure and fault statistics.")
-    Term.(
-      const run $ circuit_arg $ scale_arg $ metrics_arg $ trace_arg
-      $ trace_format_arg)
+    Term.(const run $ circuit_arg $ scale_arg $ obs_term)
 
 (* -------------------------------------------------------------- export *)
 
 let export_cmd =
-  let run spec scale out metrics_path trace_path trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+  let run spec scale out obs =
+    obs (fun metrics trace ->
         let c =
           Obs.Metrics.timed metrics ~trace "load" (fun () ->
               load_circuit ~scale spec)
@@ -231,13 +245,11 @@ let export_cmd =
             | Some path ->
               Netlist.Bench_format.write_file path c;
               Printf.printf "wrote %s\n" path
-            | None -> print_string (Netlist.Bench_format.to_string c)));
-    0
+            | None -> print_string (Netlist.Bench_format.to_string c));
+        0)
   in
   Cmd.v (Cmd.info "export" ~doc:"Write a catalog circuit in .bench format.")
-    Term.(
-      const run $ circuit_arg $ scale_arg $ out_arg $ metrics_arg $ trace_arg
-      $ trace_format_arg)
+    Term.(const run $ circuit_arg $ scale_arg $ out_arg $ obs_term)
 
 (* ------------------------------------------------------------ generate *)
 
@@ -252,11 +264,12 @@ let generate_cmd =
           ~doc:"Also write a tester program (stimulus + expected responses).")
   in
   let run spec scale seed chains jobs compact_jobs no_compact out tester
-      observe metrics_path trace_path trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+      observe obs =
+    obs (fun metrics trace ->
         let c = load_circuit ~scale spec in
-        let scan, model, cfg =
-          setup_scan ~chains ~seed ~jobs ~compact_jobs ~observe c
+        let scan, model, _ = setup_scan ~chains c in
+        let cfg =
+          Core.Config.make ~chains ~seed ~sim_jobs:jobs ~compact_jobs ~observe c
         in
         let sk = Atpg.Scan_knowledge.create scan in
         let flow =
@@ -300,28 +313,28 @@ let generate_cmd =
             Printf.printf "wrote %s (%d cycles, %d observing)\n" path
               (Array.length final)
               (Core.Tester.observing_cycles program))
-          tester);
-    0
+          tester;
+        0)
   in
   Cmd.v
     (Cmd.info "generate"
        ~doc:"Generate (and compact) a unified test sequence for a circuit.")
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
-      $ compact_jobs_arg $ no_compact $ out_arg $ tester_arg
-      $ observe_arg $ metrics_arg $ trace_arg $ trace_format_arg)
+      $ compact_jobs_arg $ no_compact $ out_arg $ tester_arg $ observe_arg
+      $ obs_term)
 
 (* ------------------------------------------------------------- compact *)
 
 let compact_cmd =
-  let run spec scale seed chains jobs compact_jobs seqfile out metrics_path
-      trace_path trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+  let run spec scale seed chains jobs compact_jobs seqfile out obs =
+    obs (fun metrics trace ->
         let c = load_circuit ~scale spec in
-        let scan, model, cfg =
-          setup_scan ~chains ~seed ~jobs ~compact_jobs c
+        let scan, model, width = setup_scan ~chains c in
+        let cfg =
+          Core.Config.make ~chains ~seed ~sim_jobs:jobs ~compact_jobs c
         in
-        let seq = read_sequence seqfile in
+        let seq = read_sequence ~width seqfile in
         let nf = Faultmodel.Model.fault_count model in
         let targets =
           Obs.Metrics.timed metrics ~trace "target-compute" (fun () ->
@@ -342,16 +355,15 @@ let compact_cmd =
           (fun path ->
             write_sequence path compacted;
             Printf.printf "wrote %s\n" path)
-          out);
-    0
+          out;
+        0)
   in
   Cmd.v
     (Cmd.info "compact"
        ~doc:"Statically compact a test sequence (restoration, then omission).")
     Term.(
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
-      $ compact_jobs_arg $ seqfile_arg $ out_arg $ metrics_arg
-      $ trace_arg $ trace_format_arg)
+      $ compact_jobs_arg $ seqfile_arg $ out_arg $ obs_term)
 
 (* --------------------------------------------------------------- table *)
 
@@ -377,17 +389,16 @@ let table_cmd =
       & info [ "verbose"; "v" ]
           ~doc:"Also print per-circuit runtime and compaction statistics.")
   in
-  let run which names scale csv jobs compact_jobs verbose observe metrics_path
-      trace_path trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+  let run which names scale csv jobs compact_jobs verbose observe obs =
+    obs (fun metrics trace ->
         let results =
           List.map
             (fun n ->
               let c = Circuits.Catalog.circuit ~scale n in
               let config =
-                Core.Config.with_compact_jobs compact_jobs
-                  (Core.Config.with_sim_jobs jobs
-                     { (Core.Config.for_circuit c) with Core.Config.observe })
+                Core.Config.make ~chains:Core.Config.default.chains
+                  ~seed:Core.Config.default.seed ~sim_jobs:jobs ~compact_jobs
+                  ~observe c
               in
               Core.Pipeline.run ~scale ~config ~metrics ~trace n)
             names
@@ -412,15 +423,14 @@ let table_cmd =
               Printf.printf "%s: %.2fs; %s\n" r.Core.Pipeline.circuit
                 r.Core.Pipeline.runtime_s
                 (omission_summary r.Core.Pipeline.omit_stats))
-            results);
-    0
+            results;
+        0)
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate rows of the paper's Tables 5-7.")
     Term.(
       const run $ which_arg $ circuits_arg $ scale_arg $ csv_arg $ jobs_arg
-      $ compact_jobs_arg $ verbose_arg $ observe_arg
-      $ metrics_arg $ trace_arg $ trace_format_arg)
+      $ compact_jobs_arg $ verbose_arg $ observe_arg $ obs_term)
 
 (* ----------------------------------------------------------------- run *)
 
@@ -476,14 +486,11 @@ let run_cmd =
                 — an induced crash for resume testing.")
   in
   let run spec scale seed chains jobs compact_jobs observe deadline backtracks
-      checkpoint resume every halt_after metrics_path trace_path trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+      checkpoint resume every halt_after obs =
+    obs (fun metrics trace ->
         let c = Circuits.Catalog.circuit ~scale spec in
         let config =
-          Core.Config.with_compact_jobs compact_jobs
-            (Core.Config.with_sim_jobs jobs
-               { (Core.Config.for_circuit c) with
-                 Core.Config.chains; seed; observe })
+          Core.Config.make ~chains ~seed ~sim_jobs:jobs ~compact_jobs ~observe c
         in
         let budget =
           match deadline, backtracks with
@@ -536,7 +543,7 @@ let run_cmd =
       const run $ circuit_arg $ scale_arg $ seed_arg $ chains_arg $ jobs_arg
       $ compact_jobs_arg $ observe_arg $ deadline_arg
       $ backtracks_arg $ checkpoint_arg $ resume_arg $ every_arg $ halt_arg
-      $ metrics_arg $ trace_arg $ trace_format_arg)
+      $ obs_term)
 
 (* ------------------------------------------------------------ diagnose *)
 
@@ -554,12 +561,11 @@ let diagnose_cmd =
       value & opt int 10
       & info [ "top" ] ~docv:"K" ~doc:"Show the $(docv) best-ranked candidates.")
   in
-  let run spec scale chains seqfile inject top metrics_path trace_path
-      trace_format =
-    with_obs ~metrics_path ~trace_path ~trace_format (fun metrics trace ->
+  let run spec scale chains seqfile inject top obs =
+    obs (fun metrics trace ->
         let c = load_circuit ~scale spec in
-        let _scan, model, _cfg = setup_scan ~chains ~seed:0L ~jobs:1 c in
-        let seq = read_sequence seqfile in
+        let _, model, width = setup_scan ~chains c in
+        let seq = read_sequence ~width seqfile in
         let nf = Faultmodel.Model.fault_count model in
         if inject < 0 || inject >= nf then
           invalid_arg
@@ -585,8 +591,8 @@ let diagnose_cmd =
                 cand.Core.Diagnose.missed cand.Core.Diagnose.extra
                 (if cand.Core.Diagnose.fault = inject then "  <- injected"
                  else ""))
-          ranking);
-    0
+          ranking;
+        0)
   in
   Cmd.v
     (Cmd.info "diagnose"
@@ -594,7 +600,7 @@ let diagnose_cmd =
              response (cause-effect diagnosis).")
     Term.(
       const run $ circuit_arg $ scale_arg $ chains_arg $ seqfile_arg
-      $ inject_arg $ top_arg $ metrics_arg $ trace_arg $ trace_format_arg)
+      $ inject_arg $ top_arg $ obs_term)
 
 (* --------------------------------------------------------------- serve *)
 

@@ -3,15 +3,28 @@ module Faultsim = Logicsim.Faultsim
 module View = Logicsim.Vectors.View
 
 type config = {
-  max_passes : int;
   max_trials : int option;
-  window : int;
-  horizon : int;
   jobs : int;
 }
 
-let default_config =
-  { max_passes = 5; max_trials = None; window = 48; horizon = 128; jobs = 1 }
+let default_config = { max_trials = None; jobs = 1 }
+
+(* Coarse-to-fine pass schedule (vectors omitted per trial): large chunks
+   remove whole useless regions in one verification; the trailing
+   single-vector passes polish until a fixpoint.  Then the size of the
+   cheap pre-check fault window, and the re-detection horizon: a trial is
+   rejected unless every affected fault re-detects within this many frames
+   of its previous detection point — conservative, but it bounds each
+   trial's simulation cost. *)
+let schedule = [ 16; 4; 1; 1; 1 ]
+let precheck_window = 48
+let redetect_horizon = 128
+
+(* [trial_budget] holds the trials left ([max_int] when unlimited); a
+   tripped time/backtrack budget ends a pass at the next round boundary,
+   and the sequence built so far is valid as it stands. *)
+let budget_left trial_budget budget =
+  !trial_budget > 0 && Obs.Budget.check budget
 
 type stats = {
   trials : int;
@@ -42,19 +55,8 @@ type stats = {
    first acceptance assumed a sequence that no longer exists and are
    discarded.  The committed trace — and with it the sequence, the [det]
    array and the trials/accepted/removed counters — is therefore
-   bit-identical at any [jobs].
-
-   Adaptive width: positions are probed in increasing order and each is
-   committed exactly once (rejections advance past it, an acceptance
-   restarts at it against the shortened sequence), so the committed
-   trial sequence is the same for ANY per-round width trajectory — the
-   width only decides how many trials are precomputed speculatively.
-   The controller exploits that freedom: an acceptance at slot [j]
-   proves the trials beyond [j] were wasted, so the width shrinks to
-   [j + 1]; a streak of fully-rejected rounds means speculation is
-   paying again, so it doubles back up to [config.jobs].  Varying [jobs]
-   changes only dispatch-schedule telemetry ([compaction.speculative.*] /
-   [compaction.adaptive.*]). *)
+   bit-identical at any [jobs]; varying it changes only the
+   dispatch-schedule telemetry ([compaction.speculative.*]). *)
 let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
     seq det trial_budget obudget =
   let n = Target.count targets in
@@ -69,30 +71,10 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
      round's packed buffers (the [Spec.map] join guarantees no probe
      still reads them). *)
   let arena = Faultsim.arena () in
-  (* Width controller state: the current speculation cap and the length
-     of the ongoing fully-rejected-round streak. *)
-  let cur_width = ref config.jobs in
-  let reject_streak = ref 0 in
-  let budget_left () =
-    (match trial_budget with
-     | Some b -> !b > 0
-     | None -> true)
-    (* A tripped time/backtrack budget ends the pass at the next round
-       boundary; the sequence built so far is valid as it stands. *)
-    && Obs.Budget.check obudget
-  in
-  while !i < Array.length !seq && budget_left () do
+  while !i < Array.length !seq && budget_left trial_budget obudget do
     let len = Array.length !seq in
     let base = !i in
-    let width_full =
-      let w = max 1 (min config.jobs (len - base)) in
-      match trial_budget with
-      | Some b -> max 1 (min w !b)
-      | None -> w
-    in
-    let width = max 1 (min width_full !cur_width) in
-    adaptive.Spec.trials_saved <-
-      adaptive.Spec.trials_saved + (width_full - width);
+    let width = max 1 (min (min config.jobs (len - base)) !trial_budget) in
     (* One snapshot serves every trial of the round: each trial's fault
        subset is contained in the faults still detected at or after
        [base], and replaying kept vectors from the snapshot is exact. *)
@@ -112,8 +94,8 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
     (* Verify the trial removing [c] vectors at [p] by replaying the kept
        prefix [base..p-1] (detection-free: every probed fault has
        [det >= p]) and then simulating the suffix in steps.  Each target
-       must re-detect within [horizon] frames of where it used to be
-       detected; failing that, the trial is rejected without simulating
+       must re-detect within [redetect_horizon] frames of where it used to
+       be detected; failing that, the trial is rejected without simulating
        the remainder — this bounds the cost of both rejections and (with
        the fault words clustered by detection time) acceptances. *)
     let trial j =
@@ -147,9 +129,10 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
           let m = min step (slen - !pos) in
           Faultsim.advance_view s (View.slice suffix !pos m);
           pos := !pos + m;
-          (* Every fault whose old detection lies >= horizon frames behind
-             the simulated front must have re-detected by now. *)
-          let threshold = old_base + !pos - config.horizon in
+          (* Every fault whose old detection lies >= [redetect_horizon]
+             frames behind the simulated front must have re-detected by
+             now. *)
+          let threshold = old_base + !pos - redetect_horizon in
           while
             !ok && !ptr < Array.length sub && det.(sub.(!ptr)) <= threshold
           do
@@ -174,8 +157,8 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
         if Array.length subset = 0 then Some [||]
         else begin
           let quick =
-            if Array.length subset > 2 * config.window then
-              probe (Array.sub subset 0 config.window) <> None
+            if Array.length subset > 2 * precheck_window then
+              probe (Array.sub subset 0 precheck_window) <> None
             else true
           in
           if not quick then None else probe subset
@@ -193,9 +176,7 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
       let subset, c, accept = results.(!j) in
       let p = base + !j in
       incr trials;
-      (match trial_budget with
-       | Some b -> decr b
-       | None -> ());
+      decr trial_budget;
       if !j > 0 then spec.Spec.committed <- spec.Spec.committed + 1;
       (match accept with
        | Some new_times ->
@@ -214,28 +195,12 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
          i := p
        | None -> incr j)
     done;
-    if !committed_accept then begin
-      spec.Spec.discarded <- spec.Spec.discarded + (width - !j - 1);
-      (* An acceptance at slot [j] wasted the [width - j - 1] trials
-         beyond it: narrow the next rounds to what this one used. *)
-      reject_streak := 0;
-      if !j + 1 < width then begin
-        cur_width := !j + 1;
-        adaptive.Spec.shrinks <- adaptive.Spec.shrinks + 1
-      end
-    end
+    if !committed_accept then
+      spec.Spec.discarded <- spec.Spec.discarded + (width - !j - 1)
     else begin
       (* Whole round rejected: keep all [width] vectors and move on. *)
       Faultsim.advance_view session (View.slice whole base width);
-      i := base + width;
-      (* Every speculative trial was consumed; two such rounds in a row
-         mean speculation pays again, so widen back toward the cap. *)
-      incr reject_streak;
-      if !reject_streak >= 2 && !cur_width < config.jobs then begin
-        cur_width := min config.jobs (2 * !cur_width);
-        adaptive.Spec.widens <- adaptive.Spec.widens + 1;
-        reject_streak := 0
-      end
+      i := base + width
     end
   done;
   adaptive.Spec.arena_reuses <-
@@ -244,35 +209,11 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
 
 let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive model
     seq (targets : Target.t) config =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> Spec.make ()
-  in
-  let adaptive =
-    match adaptive with
-    | Some a -> a
-    | None -> Spec.make_adaptive ()
-  in
+  let spec = Option.value spec ~default:(Spec.make ()) in
+  let adaptive = Option.value adaptive ~default:(Spec.make_adaptive ()) in
   let n = Target.count targets in
   let det = Array.copy targets.Target.det_times in
-  let trial_budget = Option.map ref config.max_trials in
-  let budget_left () =
-    (match trial_budget with
-     | Some b -> !b > 0
-     | None -> true)
-    && Obs.Budget.check budget
-  in
-  (* Coarse-to-fine schedule: large chunks remove whole useless regions in
-     one verification; the trailing single-vector passes polish until a
-     fixpoint or the pass budget. *)
-  let schedule =
-    let coarse = [ 16; 4 ] in
-    let fine =
-      List.init (max 1 (config.max_passes - List.length coarse)) (fun _ -> 1)
-    in
-    coarse @ fine
-  in
+  let trial_budget = ref (Option.value config.max_trials ~default:max_int) in
   let seq = ref seq in
   let continue_ = ref true in
   let trials = ref 0 and accepted = ref 0 in
@@ -280,7 +221,7 @@ let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive model
   let pass_idx = ref 0 in
   List.iter
     (fun chunk ->
-      if !continue_ && budget_left () then begin
+      if !continue_ && budget_left trial_budget budget then begin
         incr pass_idx;
         let timed f =
           match metrics with

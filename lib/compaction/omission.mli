@@ -22,24 +22,14 @@
     setting; only the [compaction.speculative.*] counters reflect the
     actual dispatch.
 
-    The per-round speculation width follows the observed acceptance pattern — an
-    acceptance at slot [j] shrinks the next rounds to width [j + 1],
-    and a streak of fully-rejected rounds doubles it back toward
-    [jobs].  Because positions are committed exactly once and in order
-    regardless of how many trials were precomputed, the sequence,
-    detection times and {!stats} are bit-identical at ANY width
-    trajectory; only the dispatch-schedule counters
-    ([compaction.speculative.*] and [compaction.adaptive.*]) differ.
-    Snapshot buffers are arena-reused across rounds. *)
+    Every round dispatches [min jobs remaining] trials (capped by the
+    remaining trial budget); snapshot buffers are arena-reused across
+    rounds.  The pass schedule (chunks 16 and 4, then single-vector
+    passes, five in all), the 48-fault pre-check window and the 128-frame
+    re-detection horizon are fixed constants. *)
 
 type config = {
-  max_passes : int;  (** passes over the sequence (fixpoint cut-off) *)
   max_trials : int option;  (** overall trial budget, [None] = unlimited *)
-  window : int;  (** size of the cheap pre-check fault window *)
-  horizon : int;
-  (** a trial is rejected unless every affected fault re-detects within
-      this many frames of its previous detection point — conservative, but
-      it bounds each trial's simulation cost *)
   jobs : int;
   (** compaction parallelism, end to end: the number of speculative
       trials dispatched per round, the main replay session's simulation
@@ -68,8 +58,8 @@ type stats = {
     so far, which is always a valid test for every target.  [metrics]
     (with optional [trace]) records one [omit.pass<n>] span per executed
     pass; [spec], when given, accumulates the speculative-dispatch
-    counters (see {!Spec.counters}); [adaptive] accumulates the width
-    controller / arena-reuse counters (see {!Spec.adaptive}). *)
+    counters (see {!Spec.counters}); [adaptive] accumulates the
+    arena-reuse counter (see {!Spec.adaptive}). *)
 val run :
   ?budget:Obs.Budget.t ->
   ?metrics:Obs.Metrics.t ->

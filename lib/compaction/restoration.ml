@@ -39,32 +39,13 @@ type stats = {
 
 let make_stats () = { restored = 0; probes = 0; batch_sims = 0 }
 
-let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
+let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive:_
     model seq (targets : Target.t) =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> Spec.make ()
-  in
-  let adaptive =
-    match adaptive with
-    | Some a -> a
-    | None -> Spec.make_adaptive ()
-  in
-  let count f =
-    match stats with
-    | None -> ()
-    | Some s -> f s
-  in
+  let spec = Option.value spec ~default:(Spec.make ()) in
+  let stats = Option.value stats ~default:(make_stats ()) in
   let len = Array.length seq in
   let n = Target.count targets in
   let keep = Array.make len false in
-  (* Generation counter of the keep mask: bumped whenever a commit
-     actually sets a bit.  Bits are only ever set, never cleared, so an
-     unchanged generation proves the live selection still equals a
-     wave's frozen copy — a speculative result frozen at that generation
-     is exact and needs no revalidation simulation. *)
-  let keep_gen = ref 0 in
   let order = Array.init n Fun.id in
   Array.sort
     (fun a b ->
@@ -82,7 +63,7 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
       let ids =
         Array.of_list (List.map (fun k -> targets.Target.fault_ids.(k)) pending)
       in
-      count (fun s -> s.batch_sims <- s.batch_sims + 1);
+      stats.batch_sims <- stats.batch_sims + 1;
       let times =
         Faultsim.detection_times_view ~jobs model ~fault_ids:ids
           (subsequence seq keep)
@@ -149,40 +130,20 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
       (fun p ->
         if not keep.(p) then begin
           keep.(p) <- true;
-          incr keep_gen;
-          count (fun s -> s.restored <- s.restored + 1)
+          stats.restored <- stats.restored + 1
         end)
       fresh
   in
-  (* Is member [k]'s terminating probe still exact?  Its search verified
-     detection over (keep0 \xe2\x88\xaa fresh) limited to [dt]; the live selection
-     limited to [dt] is (keep \xe2\x88\xaa fresh).  Bits are set-only, so the two
-     differ exactly where a position at or below [dt] was restored since
-     the wave froze and is not one the member restores itself — if no
-     such position exists, the probe's selection IS the live one and the
-     revalidation replay proves nothing it did not already prove. *)
-  let probe_still_exact keep0 fresh k =
-    let dt = targets.Target.det_times.(k) in
-    let in_fresh = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace in_fresh p ()) fresh;
-    let ok = ref true in
-    let p = ref 0 in
-    while !ok && !p <= dt do
-      if keep.(!p) && (not keep0.(!p)) && not (Hashtbl.mem in_fresh !p) then
-        ok := false;
-      incr p
-    done;
-    !ok
-  in
   (* Does the live selection plus [fresh] still detect member [k]?  One
-     single-fault simulation — the cheap revalidation of a speculative
-     result whose frozen context went stale. *)
+     single-fault simulation — the cheap revalidation of a later wave
+     member's speculative result, whose frozen context may have gone
+     stale. *)
   let revalidate fresh k =
     let fid = targets.Target.fault_ids.(k) in
     let dt = targets.Target.det_times.(k) in
     let trial = Array.copy keep in
     List.iter (fun p -> trial.(p) <- true) fresh;
-    count (fun s -> s.probes <- s.probes + 1);
+    stats.probes <- stats.probes + 1;
     Faultsim.detects_single_view model ~fault:fid
       (subsequence ~limit:dt seq trial)
     <> None
@@ -206,13 +167,12 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
         let wave = Array.of_list (List.filteri (fun i _ -> i < wave_width) ks) in
         let w = Array.length wave in
         let keep0 = Array.copy keep in
-        let gen0 = !keep_gen in
         let results = Spec.map ~jobs w (fun j -> restore_set keep0 wave.(j)) in
         if w > 1 then spec.Spec.dispatched <- spec.Spec.dispatched + (w - 1);
         Array.iteri
           (fun m k ->
             let fresh, probes = results.(m) in
-            count (fun s -> s.probes <- s.probes + probes);
+            stats.probes <- stats.probes + probes;
             if m = 0 then begin
               (* The first member's frozen selection was the live one. *)
               apply fresh;
@@ -231,21 +191,6 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
               apply fresh;
               detected.(k) <- true
             end
-            else if !keep_gen = gen0 || probe_still_exact keep0 fresh k then
-            begin
-              (* The keep mask is unchanged since the wave froze (equal
-                 generations — the cheap test) or unchanged below this
-                 member's detection time (the positions that matter):
-                 the member's frozen context is still exact and its own
-                 terminating probe already verified detection — skip the
-                 revalidation replay. *)
-              spec.Spec.committed <- spec.Spec.committed + 1;
-              adaptive.Spec.replay_skipped <-
-                adaptive.Spec.replay_skipped + 1;
-              apply fresh;
-              detected.(k) <- true;
-              simulate_members batch
-            end
             else if revalidate fresh k then begin
               spec.Spec.committed <- spec.Spec.committed + 1;
               spec.Spec.revalidated <- spec.Spec.revalidated + 1;
@@ -258,7 +203,7 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
                  live selection. *)
               spec.Spec.discarded <- spec.Spec.discarded + 1;
               let fresh, probes = restore_set keep k in
-              count (fun s -> s.probes <- s.probes + probes);
+              stats.probes <- stats.probes + probes;
               apply fresh;
               detected.(k) <- true;
               simulate_members batch

@@ -12,9 +12,10 @@
     Restore searches run speculatively in fixed-width waves: each wave
     member's backward search is evaluated as a pure function of a frozen
     copy of the selection, the evaluations run concurrently across [jobs]
-    domains, and results are committed in wave order with a one-simulation
-    revalidation for members whose frozen context went stale (see DESIGN.md
-    §10).  The wave structure does not depend on [jobs], so the restored
+    domains, and results are committed in wave order; every member after
+    the first that is still undetected, whose frozen context may have
+    gone stale, is revalidated with one simulation (see DESIGN.md §10).
+    The wave structure does not depend on [jobs], so the restored
     subsequence and every counter are bit-identical at any [jobs]
     setting. *)
 
@@ -34,13 +35,11 @@ val make_stats : unit -> stats
     vector order; a subset of [seq]'s vectors).  The result is guaranteed to
     detect every target.  [stats], when given, accumulates the run's work
     counters; [spec] accumulates the speculative-dispatch counters;
-    [adaptive] accumulates [replay_skipped] — wave members committed
-    without a revalidation simulation because the keep mask did not move
-    at or below their detection time since their frozen copy was taken
-    (bits are set-only, so the member's terminating probe simulated
-    exactly the live selection and already verified detection);
     [jobs] (default 1) bounds the domains used for wave evaluation and
-    batch simulation without affecting any result.
+    batch simulation without affecting any result.  [adaptive] is
+    accepted and ignored: restoration feeds no [compaction.adaptive.*]
+    counter.  The parameter goes once the end-to-end benchmark's replay
+    driver runs through [Core.Pipeline.compact].
 
     When [budget] trips mid-run the procedure degrades gracefully: probing
     stops and every unfinished fault restores its whole prefix [[0..dt]],

@@ -27,28 +27,16 @@ val make : unit -> counters
     [compaction.speculative.{dispatched,committed,discarded,revalidated}]. *)
 val record : counters -> Obs.Counters.t -> unit
 
-(** Accounting of the cost-cutting heuristics wrapped around
-    speculation: omission width-controller [shrinks]/[widens] and the
-    speculative trials a narrowed width avoided dispatching
-    ([trials_saved]), snapshot captures served from an arena
-    ([arena_reuses]), and restoration revalidations skipped because the
-    keep mask was unchanged since the wave froze ([replay_skipped]).
-    Like [compaction.speculative.*], these reflect the actual dispatch
-    schedule, so they are the documented exception to the
+(** Snapshot captures served from omission's buffer arena
+    ([arena_reuses]).  Like [compaction.speculative.*], it reflects the
+    actual dispatch schedule, so it is the documented exception to the
     jobs-invariant-counters contract. *)
-type adaptive = {
-  mutable shrinks : int;
-  mutable widens : int;
-  mutable trials_saved : int;
-  mutable arena_reuses : int;
-  mutable replay_skipped : int;
-}
+type adaptive = { mutable arena_reuses : int }
 
 val make_adaptive : unit -> adaptive
 
 (** [record_adaptive a counters] adds [a] under
-    [compaction.adaptive.{shrinks,widens,trials_saved,arena_reuses,
-    replay_skipped}]. *)
+    [compaction.adaptive.arena_reuses]. *)
 val record_adaptive : adaptive -> Obs.Counters.t -> unit
 
 (** [jobs_dependent name] holds for the counters {!record} and

@@ -49,15 +49,6 @@ let fingerprint ~circuit ~scale ~seed ~chains =
      one parallelism may be resumed at another. *)
   Printf.sprintf "%s|%s|%Ld|%d" circuit scale_s seed chains
 
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
 let stage_name = function
   | Generating _ -> "generating"
   | Phased p ->
@@ -71,7 +62,7 @@ let save ~path ~fingerprint stage =
   Obs.Fileio.write path (fun oc ->
       output_string oc magic;
       output_char oc '\n';
-      Printf.fprintf oc "%016Lx\n" (fnv1a64 payload);
+      Printf.fprintf oc "%016Lx\n" (Prng.Rng.fnv1a64 payload);
       output_string oc payload)
 
 let load path =
@@ -101,7 +92,7 @@ let load path =
         | None -> raise (Corrupt "malformed checksum line")
       in
       let payload = String.sub contents header_len (len - header_len) in
-      if fnv1a64 payload <> expected then
+      if Prng.Rng.fnv1a64 payload <> expected then
         raise (Corrupt "checksum mismatch (truncated or corrupted)");
       match (Marshal.from_string payload 0 : file) with
       | f -> f

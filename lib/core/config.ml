@@ -4,8 +4,6 @@ type t = {
   random_phase : Atpg.Random_phase.config option;
   use_drain : bool;
   use_justify : bool;
-  prune_redundant : bool;
-  redundancy_budget : int;
   omission : Compaction.Omission.config;
   chains : int;
   sim_jobs : int;
@@ -20,8 +18,6 @@ let default =
     random_phase = Some Atpg.Random_phase.default_config;
     use_drain = true;
     use_justify = true;
-    prune_redundant = true;
-    redundancy_budget = 3000;
     omission = Compaction.Omission.default_config;
     chains = 1;
     sim_jobs = 1;
@@ -40,3 +36,7 @@ let with_compact_jobs jobs cfg =
   { cfg with
     compact_jobs = jobs;
     omission = { cfg.omission with Compaction.Omission.jobs } }
+
+let make ~chains ~seed ~sim_jobs ~compact_jobs ?(observe = false) c =
+  with_compact_jobs compact_jobs
+    (with_sim_jobs sim_jobs { (for_circuit c) with chains; seed; observe })

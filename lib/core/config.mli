@@ -11,10 +11,6 @@ type t = {
   use_justify : bool;
   (** scan-in justification: tests found with a free initial state get an
       [N_SV]-cycle load prefix *)
-  prune_redundant : bool;
-  (** exclude faults proven combinationally untestable (full state control
-      and observation) from the target list — see DESIGN.md §3 *)
-  redundancy_budget : int;  (** PODEM backtracks allowed per proof *)
   omission : Compaction.Omission.config;
   chains : int;  (** scan chains inserted *)
   sim_jobs : int;
@@ -45,3 +41,12 @@ val with_sim_jobs : int -> t -> t
     replay session and probe sessions, via [omission.jobs]) and
     restoration's wave evaluation. *)
 val with_compact_jobs : int -> t -> t
+
+(** [make ~chains ~seed ~sim_jobs ~compact_jobs ?observe c] is the run
+    configuration of one CLI command or daemon request:
+    {!for_circuit}[ c] with the scan-chain count, root seed and activity
+    observation (default [false]) set, then both parallelism knobs
+    applied through {!with_sim_jobs} and {!with_compact_jobs}. *)
+val make :
+  chains:int -> seed:int64 -> sim_jobs:int -> compact_jobs:int ->
+  ?observe:bool -> Netlist.Circuit.t -> t

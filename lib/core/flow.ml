@@ -73,6 +73,11 @@ let record_telemetry metrics ~observe (atpg : Atpg.Podem.stats) session =
       (Faultsim.frame_toggles session)
   end
 
+(* PODEM backtracks allowed per proof when excluding faults proven
+   combinationally untestable (full state control and observation) from
+   the target list — see DESIGN.md §3. *)
+let redundancy_backtrack_limit = 3000
+
 let generate ?metrics ?(budget = Obs.Budget.unlimited) ?resume
     ?(checkpoint_every = 0) ?(on_checkpoint = fun (_ : cursor) -> ())
     ?(trace = Obs.Trace.null) (cfg : Config.t) sk model =
@@ -89,15 +94,12 @@ let generate ?metrics ?(budget = Obs.Budget.unlimited) ?resume
     match resume with
     | Some c -> c.c_target_ids, c.c_pruned_redundant
     | None ->
-      if cfg.Config.prune_redundant then begin
-        let t, r, _unknown =
-          timed "flow.prune" (fun () ->
-              Testability.partition ~budget model
-                ~backtrack_limit:cfg.Config.redundancy_budget)
-        in
-        t, Array.length r
-      end
-      else Array.init universe Fun.id, 0
+      let t, r, _unknown =
+        timed "flow.prune" (fun () ->
+            Testability.partition ~budget model
+              ~backtrack_limit:redundancy_backtrack_limit)
+      in
+      t, Array.length r
   in
   let rng =
     match resume with

@@ -88,7 +88,7 @@ let compact ?(budget = Obs.Budget.unlimited) ?rstats ?trace ~metrics cfg model
     Obs.Metrics.timed metrics ?trace "restore" (fun () ->
         let restored =
           Compaction.Restoration.run ?stats:rstats ~budget
-            ~jobs:cfg.Config.compact_jobs ~spec ~adaptive model seq targets
+            ~jobs:cfg.Config.compact_jobs ~spec model seq targets
         in
         let targets_r =
           Compaction.Target.compute ~jobs:cfg.Config.sim_jobs model restored

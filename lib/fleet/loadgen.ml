@@ -22,7 +22,7 @@ type report = {
 let pick ~seed ~n i =
   if n = 1 then 0
   else
-    let h = Server.Cache.fnv1a64 (Printf.sprintf "%d:%d" seed i) in
+    let h = Prng.Rng.fnv1a64 (Printf.sprintf "%d:%d" seed i) in
     Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int n))
 
 (* ids are restamped per arrival; a template id would collide *)

@@ -367,7 +367,7 @@ let shard_of st (c : Protocol.compute) =
     Cache.key_of c.Protocol.src ~scale:c.Protocol.scale
       ~chains:c.Protocol.chains
   in
-  let h = Cache.fnv1a64 key in
+  let h = Prng.Rng.fnv1a64 key in
   Int64.to_int (Int64.rem (Int64.logand h Int64.max_int)
                   (Int64.of_int st.cfg.shards))
 

@@ -633,7 +633,7 @@ let sim_frame_event t sc g time detections =
 
 (* Repack a worker's surviving machines into as few words as possible.
    Machines are independent, so word packing is invisible to every
-   per-fault outcome; it only shrinks the number of group-frames the
+   per-fault outcome; it only reduces the number of group-frames the
    simulator executes once fault dropping has hollowed the words out.
    [sc] must still hold the broadcast of the frame just simulated: a
    flip-flop that is dirty for one source group but clean for another
@@ -1021,7 +1021,7 @@ type snapshot = {
 (* A snapshot arena recycles one capture's buffers into the next: the
    per-fault index/det arrays, the good-state words, and the per-group
    packed words are all overwritten in place when their sizes still fit
-   (repacking shrinks the group count; the pool keeps the high-water
+   (repacking lowers the group count; the pool keeps the high-water
    set).  Taking a new snapshot from an arena therefore invalidates the
    previous snapshot taken from it — callers must finish every probe of
    a round before capturing the next (the speculative [Spec.map] join is

@@ -42,16 +42,6 @@ let enabled t = t.live
 
 let active t = t.live && Atomic.get t.sites <> []
 
-let fnv1a64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 (* ----------------------------------------------------------------- spec *)
 
 let invalid fmt = Printf.ksprintf invalid_arg fmt
@@ -181,7 +171,7 @@ let rec claim s =
 let fire_draw t name s =
   let n = Atomic.fetch_and_add s.draws 1 in
   let h =
-    fnv1a64 (Printf.sprintf "%Ld/%s/%d" (Atomic.get t.seed) name n)
+    Prng.Rng.fnv1a64 (Printf.sprintf "%Ld/%s/%d" (Atomic.get t.seed) name n)
   in
   let bucket = Int64.rem (Int64.logand h Int64.max_int) 1_000_000L in
   if bucket < Int64.of_int s.prob_ppm && claim s then

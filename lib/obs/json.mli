@@ -58,7 +58,7 @@ val parse : string -> t
 val member : string -> t -> t option
 
 (** [get_int], [get_float], [get_bool], [get_str] project a leaf; [Int]
-    widens to float for [get_float]. *)
+    converts to float for [get_float]. *)
 val get_int : t -> int option
 
 val get_float : t -> float option

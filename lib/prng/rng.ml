@@ -13,15 +13,17 @@ let next t =
   t.state <- Int64.add t.state gamma;
   mix t.state
 
-let of_string seed label =
-  (* FNV-1a over the label folded into the seed. *)
+let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c ->
       h := Int64.logxor !h (Int64.of_int (Char.code c));
       h := Int64.mul !h 0x100000001b3L)
-    label;
-  create (mix (Int64.add seed !h))
+    s;
+  !h
+
+(* FNV-1a over the label folded into the seed. *)
+let of_string seed label = create (mix (Int64.add seed (fnv1a64 label)))
 
 let split t = create (next t)
 

@@ -8,6 +8,11 @@ type t
 
 val create : int64 -> t
 
+(** [fnv1a64 s] is the 64-bit FNV-1a hash of [s] — the one content hash
+    of the project: stream labels, cache and routing keys, failpoint
+    draws and checkpoint checksums. *)
+val fnv1a64 : string -> int64
+
 (** [of_string seed label] derives a stream from a textual label — used to
     give every (circuit, phase) pair an independent, stable stream. *)
 val of_string : int64 -> string -> t

@@ -27,16 +27,6 @@ let length t =
   Mutex.unlock t.mu;
   n
 
-let fnv1a64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 let key_of src ~scale ~chains =
   let scale_tag =
     match scale with
@@ -64,7 +54,7 @@ let find_or_compile t ~key ~compile =
         e, `Hit
       | None ->
         let compiled = compile () in
-        let e = { key; hash = fnv1a64 key; compiled } in
+        let e = { key; hash = Prng.Rng.fnv1a64 key; compiled } in
         let kept =
           if List.length t.entries >= t.capacity then
             List.filteri (fun i _ -> i < t.capacity - 1) t.entries

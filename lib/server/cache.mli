@@ -39,8 +39,6 @@ val capacity : t -> int
 (** Resident entry count (for the [stats] response). *)
 val length : t -> int
 
-val fnv1a64 : string -> int64
-
 (** Canonical cache key of a request's circuit source. *)
 val key_of :
   Protocol.circuit_src -> scale:Circuits.Profiles.scale -> chains:int -> string

@@ -78,12 +78,9 @@ let lookup (t : t) (c : Protocol.compute) =
     1;
   entry, outcome
 
-let config_for entry (c : Protocol.compute) =
-  Config.with_compact_jobs c.Protocol.compact_jobs
-    (Config.with_sim_jobs c.Protocol.sim_jobs
-       { (Config.for_circuit entry.Cache.circuit) with
-         Config.chains = c.Protocol.chains;
-         seed = c.Protocol.seed })
+let config_for circuit (c : Protocol.compute) =
+  Config.make ~chains:c.Protocol.chains ~seed:c.Protocol.seed
+    ~sim_jobs:c.Protocol.sim_jobs ~compact_jobs:c.Protocol.compact_jobs circuit
 
 (* --------------------------------------------------- response assembly *)
 
@@ -124,7 +121,7 @@ let exec_generate t ~budget ~trace ~id c ~compact ~return_sequence =
   let entry, outcome = lookup t c in
   let compiled = entry.Cache.compiled in
   let rm = Obs.Metrics.create () in
-  let cfg = config_for compiled c in
+  let cfg = config_for compiled.Cache.circuit c in
   let flow =
     Obs.Metrics.timed rm ~trace "generate" (fun () ->
         Flow.generate ~metrics:rm ~budget ~trace cfg compiled.Cache.sk
@@ -196,7 +193,7 @@ let exec_compact t ~budget ~trace ~id c sequence =
   if Array.length seq = 0 then
     raise (Protocol.Bad_request "empty \"vectors\" array");
   let rm = Obs.Metrics.create () in
-  let cfg = config_for compiled c in
+  let cfg = config_for compiled.Cache.circuit c in
   let nf = Faultmodel.Model.fault_count model in
   let targets =
     Obs.Metrics.timed rm ~trace "target-compute" (fun () ->
@@ -246,13 +243,7 @@ let exec_table t ~budget ~trace ~id (c : Protocol.compute) =
            "table runs the paper pipeline on catalog circuits only")
   in
   let circuit = Circuits.Catalog.circuit ~scale:c.Protocol.scale name in
-  let cfg =
-    Config.with_compact_jobs c.Protocol.compact_jobs
-      (Config.with_sim_jobs c.Protocol.sim_jobs
-         { (Config.for_circuit circuit) with
-           Config.chains = c.Protocol.chains;
-           seed = c.Protocol.seed })
-  in
+  let cfg = config_for circuit c in
   let rm = Obs.Metrics.create () in
   let r =
     Core.Pipeline.run ~scale:c.Protocol.scale ~config:cfg ~metrics:rm

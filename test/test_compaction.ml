@@ -118,14 +118,6 @@ let test_omission_trial_budget () =
     (Array.length seq - Array.length compacted <= 10 * 16);
   Alcotest.(check bool) "targets kept" true (Target.detected_by m compacted targets)
 
-let test_omission_single_pass () =
-  let m, seq, targets = random_setup 9 150 in
-  let cfg = { Compaction.Omission.default_config with max_passes = 1 } in
-  let one, _, _ = Compaction.Omission.run m seq targets cfg in
-  let full, _, _ = Compaction.Omission.run m seq targets Compaction.Omission.default_config in
-  Alcotest.(check bool) "more passes never longer" true
-    (Array.length full <= Array.length one)
-
 let prop_compaction_preserves_coverage =
   QCheck2.Test.make ~name:"restoration+omission preserve every target" ~count:8
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 60 160))
@@ -183,7 +175,6 @@ let () =
           Alcotest.test_case "preserves targets" `Quick test_omission_preserves_targets;
           Alcotest.test_case "after restoration" `Quick test_omission_after_restoration;
           Alcotest.test_case "trial budget" `Quick test_omission_trial_budget;
-          Alcotest.test_case "pass count" `Quick test_omission_single_pass;
         ] );
       ( "properties",
         [ q prop_compaction_preserves_coverage; q prop_scan_cycles_never_grow ] );

@@ -63,9 +63,10 @@ let test_spec_map_error () =
 (* ------------------------------------------------------------- omission *)
 
 let run_omission ?budget ~jobs ?max_trials (m, seq, targets) =
-  let cfg = { Omission.default_config with jobs; max_trials } in
   let spec = Spec.make () in
-  let seq', targets', stats = Omission.run ?budget ~spec m seq targets cfg in
+  let seq', targets', stats =
+    Omission.run ?budget ~spec m seq targets { Omission.jobs; max_trials }
+  in
   seq', targets', stats, spec
 
 let check_omission_invariant what ?budget_of ?max_trials setup =
@@ -113,12 +114,10 @@ let prop_omission_jobs_invariant =
 
 (* ---------------------------------------------------------- restoration *)
 
-let run_restoration ?budget ?adaptive ~jobs (m, seq, targets) =
+let run_restoration ?budget ~jobs (m, seq, targets) =
   let stats = Restoration.make_stats () in
   let spec = Spec.make () in
-  let restored =
-    Restoration.run ~stats ?budget ~jobs ~spec ?adaptive m seq targets
-  in
+  let restored = Restoration.run ~stats ?budget ~jobs ~spec m seq targets in
   restored, stats, spec
 
 let check_restoration_invariant what ?budget_of setup =
@@ -150,23 +149,22 @@ let prop_restoration_jobs_invariant =
       let s3, st3, spec3 = run_restoration ~jobs:3 setup in
       seq_to_string s1 = seq_to_string s3 && st1 = st3 && spec1 = spec3)
 
-(* ------------------------------------------------------- adaptive width *)
+(* ---------------------------------------------------------- fixed width *)
 
-let run_omission_adaptive ~jobs (m, seq, targets) =
+let run_omission_arena ~jobs (m, seq, targets) =
   let cfg = { Omission.default_config with jobs } in
-  let spec = Spec.make () in
   let ad = Spec.make_adaptive () in
-  let seq', targets', stats = Omission.run ~spec ~adaptive:ad m seq targets cfg in
-  seq', targets', stats, spec, ad
+  let seq', targets', stats = Omission.run ~adaptive:ad m seq targets cfg in
+  seq', targets', stats, ad
 
-let test_adaptive_byte_identity () =
-  (* The width trajectory differs at every compact_jobs; the sequence,
-     detection times and jobs-invariant stats may not. *)
+let test_width_byte_identity () =
+  (* The dispatch width is [jobs]; the sequence, detection times and
+     jobs-invariant stats may not depend on it. *)
   let setup = random_setup 31 180 in
-  let s_ref, t_ref, st_ref, _, _ = run_omission_adaptive ~jobs:1 setup in
+  let s_ref, t_ref, st_ref, _ = run_omission_arena ~jobs:1 setup in
   List.iter
     (fun jobs ->
-      let s, t, st, _, _ = run_omission_adaptive ~jobs setup in
+      let s, t, st, _ = run_omission_arena ~jobs setup in
       let what = Printf.sprintf "jobs=%d" jobs in
       Alcotest.(check string)
         (what ^ ": sequence") (seq_to_string s_ref) (seq_to_string s);
@@ -175,50 +173,21 @@ let test_adaptive_byte_identity () =
       Alcotest.(check bool) (what ^ ": stats") true (st_ref = st))
     [ 1; 2; 4 ]
 
-let test_adaptive_shrinks_and_rewidens () =
-  (* Scan seeds until the controller demonstrably shrank on an early
-     acceptance (at jobs=2 an acceptance at slot 0 forces width 1) and
-     re-widened after a rejection streak, with width reductions actually
-     saving dispatches.  Every scanned seed must stay byte-identical to
-     the sequential run — the trajectory is telemetry, never semantics. *)
-  let shrunk = ref false and widened = ref false and saved = ref false in
-  let reused = ref false in
-  let seed = ref 100 in
-  while (not (!shrunk && !widened && !saved && !reused)) && !seed < 140 do
-    let setup = random_setup !seed 180 in
-    let s1, _, st1, _, _ = run_omission_adaptive ~jobs:1 setup in
-    List.iter
-      (fun jobs ->
-        let sk, _, stk, _, ad = run_omission_adaptive ~jobs setup in
-        Alcotest.(check string)
-          (Printf.sprintf "seed %d jobs %d: sequence" !seed jobs)
-          (seq_to_string s1) (seq_to_string sk);
-        Alcotest.(check bool)
-          (Printf.sprintf "seed %d jobs %d: stats" !seed jobs)
-          true (st1 = stk);
-        if ad.Spec.shrinks > 0 then shrunk := true;
-        if ad.Spec.widens > 0 then widened := true;
-        if ad.Spec.trials_saved > 0 then saved := true;
-        if ad.Spec.arena_reuses > 0 then reused := true)
-      [ 2; 4 ];
-    incr seed
-  done;
-  Alcotest.(check bool) "controller shrank at least once" true !shrunk;
-  Alcotest.(check bool) "controller re-widened at least once" true !widened;
-  Alcotest.(check bool) "reduced widths saved dispatches" true !saved;
-  Alcotest.(check bool) "snapshot arena reused" true !reused
-
-let test_restoration_replay_skip () =
-  (* The keep-generation guard: a wave member whose keep mask did not
-     move since its trial was frozen commits without replaying the
-     assumed-rejected prefix — and the result is still byte-identical. *)
-  let setup = random_setup 21 200 in
-  let s1, st1, _ = run_restoration ~jobs:1 setup in
-  let ad = Spec.make_adaptive () in
-  let s3, st3, _ = run_restoration ~jobs:3 ~adaptive:ad setup in
-  Alcotest.(check string) "sequence" (seq_to_string s1) (seq_to_string s3);
-  Alcotest.(check bool) "stats" true (st1 = st3);
-  Alcotest.(check bool) "replays skipped" true (ad.Spec.replay_skipped > 0)
+let test_arena_reuse () =
+  (* Every round's snapshot recycles the previous round's buffers: the
+     arena must serve captures at every width without changing the
+     result. *)
+  let setup = random_setup 100 180 in
+  let s_ref, _, _, _ = run_omission_arena ~jobs:1 setup in
+  List.iter
+    (fun jobs ->
+      let s, _, _, ad = run_omission_arena ~jobs setup in
+      let what = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check string)
+        (what ^ ": sequence") (seq_to_string s_ref) (seq_to_string s);
+      Alcotest.(check bool)
+        (what ^ ": arena reused") true (ad.Spec.arena_reuses > 0))
+    [ 1; 2; 4 ]
 
 (* ---------------------------------------------- pipeline, kill-and-resume *)
 
@@ -280,14 +249,10 @@ let test_pipeline_speculative_counters_recorded () =
   let discarded = Obs.Counters.get c "compaction.speculative.discarded" in
   Alcotest.(check bool) "dispatched > 0" true (dispatched > 0);
   Alcotest.(check int) "dispatch accounted" dispatched (committed + discarded);
-  (* The adaptive-width family rides along in the same document. *)
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " present") true
-        (List.mem_assoc k (Obs.Counters.to_alist c)))
-    [ "compaction.adaptive.shrinks"; "compaction.adaptive.widens";
-      "compaction.adaptive.trials_saved"; "compaction.adaptive.arena_reuses";
-      "compaction.adaptive.replay_skipped" ]
+  (* The arena counter rides along in the same document. *)
+  Alcotest.(check bool) "arena_reuses present" true
+    (List.mem_assoc "compaction.adaptive.arena_reuses"
+       (Obs.Counters.to_alist c))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -312,15 +277,13 @@ let () =
           Alcotest.test_case "jobs invariant" `Quick test_restoration_jobs_invariant;
           Alcotest.test_case "tripped budget invariant" `Quick
             test_restoration_tripped_budget_invariant;
-          Alcotest.test_case "replay skip on unchanged keep mask" `Quick
-            test_restoration_replay_skip;
         ] );
-      ( "adaptive",
+      ( "fixed-width",
         [
-          Alcotest.test_case "byte identity across trajectories" `Quick
-            test_adaptive_byte_identity;
-          Alcotest.test_case "shrinks and re-widens" `Quick
-            test_adaptive_shrinks_and_rewidens;
+          Alcotest.test_case "byte identity at jobs 1, 2, 4" `Quick
+            test_width_byte_identity;
+          Alcotest.test_case "arena reuse at jobs 1, 2, 4" `Quick
+            test_arena_reuse;
         ] );
       ( "pipeline",
         [
