@@ -460,6 +460,28 @@ jq -e '.counters["compaction.speculative.dispatched"] ==
 jq -e '.counters | has("compaction.adaptive.arena_reuses")' \
   "$tmpdir/compact3.json" > /dev/null \
   || fail "arena-reuse telemetry missing at --compact-jobs 3"
+# Width 2 is the bench's compact_jobs; --jobs 2 adds the fault-simulation
+# fan-out of the target computation between restoration and omission.
+for jobs in "--compact-jobs 2" "--jobs 2 --compact-jobs 2"; do
+  tag=$(echo "$jobs" | tr -d ' -')
+  # shellcheck disable=SC2086
+  dune exec bin/scanatpg.exe -- compact s298 "$tmpdir/seq.txt" $jobs \
+    -o "$tmpdir/$tag.txt" --metrics "$tmpdir/$tag.json" \
+    > "$tmpdir/$tag.out" 2>&1 || fail "compact at $jobs"
+  diff "$tmpdir/compact1.txt" "$tmpdir/$tag.txt" \
+    || fail "compacted sequences differ between --compact-jobs 1 and $jobs"
+  jq -S "$jobs_invariant_counters" "$tmpdir/$tag.json" \
+    > "$tmpdir/$tag.counters" || fail "jq on $jobs metrics"
+  diff "$tmpdir/compact1.counters" "$tmpdir/$tag.counters" \
+    || fail "compaction counters differ between --compact-jobs 1 and $jobs"
+done
+
+echo "== help pages =="
+# A doc string cmdliner cannot parse still renders, but warns on stderr.
+./_build/default/bin/scanatpg.exe router --help=plain > /dev/null \
+  2> "$tmpdir/router-help.err" || fail "router --help=plain"
+[ ! -s "$tmpdir/router-help.err" ] \
+  || fail "router --help=plain wrote to stderr: $(cat "$tmpdir/router-help.err")"
 
 echo "== malformed sequence files =="
 # An empty file and a vector of the wrong width (s27's C_scan has 6

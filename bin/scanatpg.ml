@@ -817,7 +817,7 @@ let router_cmd =
       value & opt (some string) None
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:"Arm the router's fault-injection sites, e.g. \
-                $(b,seed=42;shard=crash#1;writer=error\\@0.02). Site \
+                $(b,seed=42;shard=crash#1;writer=error@0.02). Site \
                 $(b,shard) kills the dispatch target's process; \
                 $(b,writer) faults a client response write. Reconfigure at \
                 runtime with the $(b,chaos) op.")

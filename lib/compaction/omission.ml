@@ -207,8 +207,8 @@ let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
     adaptive.Spec.arena_reuses + Faultsim.arena_hits arena;
   !seq, !changed, (!trials, !accepted, !removed)
 
-let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive model
-    seq (targets : Target.t) config =
+let run_scoped ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive
+    model seq (targets : Target.t) config =
   let spec = Option.value spec ~default:(Spec.make ()) in
   let adaptive = Option.value adaptive ~default:(Spec.make_adaptive ()) in
   let n = Target.count targets in
@@ -257,3 +257,9 @@ let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive model
     { Target.fault_ids = Array.copy targets.Target.fault_ids;
       det_times = Array.init n (fun k -> det.(k)) },
     stats )
+
+(* One worker scope for the whole run: the trial domains, and their
+   simulator scratch, survive from one round to the next. *)
+let run ?budget ?metrics ?trace ?spec ?adaptive model seq targets config =
+  Logicsim.Workers.scoped ~jobs:config.jobs (fun () ->
+      run_scoped ?budget ?metrics ?trace ?spec ?adaptive model seq targets config)

@@ -20,7 +20,9 @@
     The committed trace replays the sequential one verbatim, so the final
     sequence, detection times and {!stats} are bit-identical at any [jobs]
     setting; only the [compaction.speculative.*] counters reflect the
-    actual dispatch.
+    actual dispatch.  The run holds one {!Logicsim.Workers} scope of
+    width [jobs] for its duration (or reuses the caller's), so its rounds
+    share one set of worker domains.
 
     Every round dispatches [min jobs remaining] trials (capped by the
     remaining trial budget); snapshot buffers are arena-reused across

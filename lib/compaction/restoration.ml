@@ -39,8 +39,8 @@ type stats = {
 
 let make_stats () = { restored = 0; probes = 0; batch_sims = 0 }
 
-let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive:_
-    model seq (targets : Target.t) =
+let run_scoped ?stats ?(budget = Obs.Budget.unlimited) ~jobs ?spec model seq
+    (targets : Target.t) =
   let spec = Option.value spec ~default:(Spec.make ()) in
   let stats = Option.value stats ~default:(make_stats ()) in
   let len = Array.length seq in
@@ -214,3 +214,9 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive:_
     waves ()
   done;
   View.to_seq (subsequence seq keep)
+
+(* One worker scope for the whole run: the wave domains, and their
+   simulator scratch, survive from one wave to the next. *)
+let run ?stats ?budget ?(jobs = 1) ?spec ?adaptive:_ model seq targets =
+  Logicsim.Workers.scoped ~jobs (fun () ->
+      run_scoped ?stats ?budget ~jobs ?spec model seq targets)

@@ -36,9 +36,10 @@ val make_stats : unit -> stats
     detect every target.  [stats], when given, accumulates the run's work
     counters; [spec] accumulates the speculative-dispatch counters;
     [jobs] (default 1) bounds the domains used for wave evaluation and
-    batch simulation without affecting any result.  [adaptive] is
-    accepted and ignored: restoration feeds no [compaction.adaptive.*]
-    counter.  The parameter goes once the end-to-end benchmark's replay
+    batch simulation without affecting any result; the run holds one
+    {!Logicsim.Workers} scope of width [jobs] for its duration (or reuses
+    the caller's).  [adaptive] is accepted and ignored: restoration feeds
+    no [compaction.adaptive.*] counter.  The parameter goes once the end-to-end benchmark's replay
     driver runs through [Core.Pipeline.compact].
 
     When [budget] trips mid-run the procedure degrades gracefully: probing

@@ -45,11 +45,15 @@ val record_adaptive : adaptive -> Obs.Counters.t -> unit
 val jobs_dependent : string -> bool
 
 (** [map ~jobs n f] evaluates [f 0 .. f (n-1)] and returns the results in
-    index order.  Indices are dealt round-robin across [jobs] domains
-    (index [k] runs on domain [k mod jobs]; domain 0 is the calling
-    domain), so [f] must be thread-safe for concurrent calls on distinct
-    indices — in practice, pure up to thread-confined scratch state.
-    Results are independent of [jobs] whenever each [f k] is
-    deterministic.  If any call raises, every domain is joined before the
-    first error (calling domain first, then spawn order) is re-raised. *)
+    index order.  Indices are dealt round-robin across the shares of one
+    {!Logicsim.Workers.run} of width [min jobs n] (index [k] runs in share
+    [k mod jobs]; share 0 runs on the calling domain), so [f] must be
+    thread-safe for concurrent calls on distinct indices — in practice,
+    pure up to domain-confined scratch state.  Inside a
+    {!Logicsim.Workers.scoped} region, such as a whole omission or
+    restoration run, every round reuses the scope's domains; outside one,
+    each call spawns and joins its own.  Results are independent of
+    [jobs] whenever each [f k] is deterministic.  If any call raises,
+    every share finishes before the first error (calling domain's share
+    first, then worker order) is re-raised with its backtrace. *)
 val map : jobs:int -> int -> (int -> 'a) -> 'a array

@@ -319,7 +319,7 @@ let create ?good_state ?faulty_states ?(jobs = 1)
 let time t = t.time
 
 (* Toggle / weighted-switching activity of the good machine, counted right
-   after its frame.  Only the session domain calls this (spawned workers
+   after its frame.  Only the session domain calls this (the other shares
    merely replay the good trace), so plain mutation of [t.stats] is safe
    and the totals never depend on [jobs].  A toggle is a binary-to-opposite
    transition; X transitions carry no defined switching energy.  The WSA
@@ -717,11 +717,11 @@ type block = {
 
 (* Run [blocks] over the whole view with worker-owned state.  [good0]/
    [good1] are the worker's good state words (the session's own for the
-   calling domain, a copy for spawned ones), stepped in place.
+   calling domain, a copy for the other shares), stepped in place.
    [step_all] keeps stepping the good machine after every group retired —
    required for the session machine, whose final state is observable.
    Blocks are mutated in place; the caller reads them back after the
-   domain join.  Returns the worker's detection count and its staged
+   round.  Returns the worker's detection count and its staged
    telemetry counters. *)
 let run_worker t sc good0 good1 view t0 ~blocks ~step_all =
   let nframes = View.length view in
@@ -731,8 +731,8 @@ let run_worker t sc good0 good1 view t0 ~blocks ~step_all =
   let live = ref (Array.fold_left (fun a b -> a + b.blive) 0 blocks) in
   (* A tripped budget freezes this worker's fault machines at the current
      frame (sound: no detection is ever invented, faults merely stay
-     undetected).  Only the session domain probes the clock; spawned
-     workers read the atomic tripped flag, keeping the budget's non-atomic
+     undetected).  Only the session domain probes the clock; other
+     shares read the atomic tripped flag, keeping the budget's non-atomic
      probe state single-domain.  The session's good machine still steps
      through every frame so its final state stays consistent. *)
   let limited = Obs.Budget.limited t.budget in
@@ -814,66 +814,33 @@ let advance_event t view =
           bmachines =
             Array.fold_left (fun a g -> a + popcount g.active) 0 bgroups })
   in
-  let jobs = min t.jobs nblocks in
-  let worker_stats =
-    if jobs <= 1 then begin
-      let d, ws =
-        run_borrowed t t.good0 t.good1 view t0 ~blocks ~step_all:true
-      in
-      t.detected <- t.detected + d;
-      [ ws ]
-    end
-    else begin
-      (* Blocks are independent given the good trace: deal them round-robin
-         across domains.  Each spawned worker replays the good machine from
-         a copy of the pre-advance state words with its own scratch;
-         detection times and group states land in disjoint slots, so the
-         merged outcome is identical to the sequential schedule regardless
-         of interleaving. *)
-      let share w =
-        let acc = ref [] in
-        Array.iter (fun b -> if b.bid mod jobs = w then acc := b :: !acc) blocks;
-        Array.of_list (List.rev !acc)
-      in
-      (* An exception in any worker (including the session domain's own
-         share) must not leave sibling domains unjoined: capture each
-         worker's outcome, join everything, then re-raise the first error —
-         session domain first, then spawn order — with its backtrace. *)
-      let spawned =
-        Array.init (jobs - 1) (fun k ->
-            let blocks = share (k + 1) in
-            let good0 = Array.copy t.good0 and good1 = Array.copy t.good1 in
-            Domain.spawn (fun () ->
-                match
-                  run_borrowed t good0 good1 view t0 ~blocks ~step_all:false
-                with
-                | r -> Ok r
-                | exception e -> Error (e, Printexc.get_raw_backtrace ())))
-      in
-      let main_result =
-        match
-          run_borrowed t t.good0 t.good1 view t0 ~blocks:(share 0)
-            ~step_all:true
-        with
-        | r -> Ok r
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      let results = Array.map Domain.join spawned in
-      let reraise = function
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Ok _ -> ()
-      in
-      reraise main_result;
-      Array.iter reraise results;
-      let unwrap = function Ok r -> r | Error _ -> assert false in
-      let d0, ws0 = unwrap main_result in
-      let results = Array.map unwrap results in
-      let d = Array.fold_left (fun acc (dm, _) -> acc + dm) d0 results in
-      t.detected <- t.detected + d;
-      ws0 :: Array.to_list (Array.map snd results)
-    end
+  (* Blocks are independent given the good trace: deal them round-robin
+     across the shares of one {!Workers.run}.  Share 0 steps the session's
+     own good machine; every other share replays it from a copy of the
+     pre-advance state words, taken here before any share starts, with its
+     domain's own scratch.  Detection times and group states land in
+     disjoint slots, so the merged outcome is identical to the sequential
+     schedule regardless of interleaving. *)
+  let jobs = max 1 (min t.jobs nblocks) in
+  let goods =
+    Array.init jobs (fun w ->
+        if w = 0 then t.good0, t.good1
+        else Array.copy t.good0, Array.copy t.good1)
   in
-  List.iter (flush_sstats t.stats) worker_stats;
+  let results = Array.make jobs (0, (0, 0, 0, 0, 0)) in
+  Workers.run ~jobs (fun w ->
+      let mine =
+        List.filter (fun b -> b.bid mod jobs = w) (Array.to_list blocks)
+      in
+      let good0, good1 = goods.(w) in
+      results.(w) <-
+        run_borrowed t good0 good1 view t0 ~blocks:(Array.of_list mine)
+          ~step_all:(w = 0));
+  Array.iter
+    (fun (d, ws) ->
+      t.detected <- t.detected + d;
+      flush_sstats t.stats ws)
+    results;
   (* Reassemble in canonical block order — the merged group array (hence
      the next advance's block partition) is independent of which worker
      owned which block. *)

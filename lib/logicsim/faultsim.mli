@@ -17,11 +17,13 @@
     model, so starting a session builds only its fault groups.  The
     node-sized evaluation state lives in one scratch per domain, lent to
     one {!advance} at a time.  Since groups are independent given the
-    good trace, sessions created with [jobs > 1] deal groups round-robin
-    across [Domain.spawn] workers, each replaying the good machine from a
-    copy of the pre-advance state on its own domain's scratch; results
-    (detection times, states, counts) are bit-identical to the
-    sequential schedule.  Its cross-validation oracle is a scalar
+    good trace, sessions created with [jobs > 1] deal blocks of groups
+    round-robin across the shares of one {!Workers.run}, each replaying
+    the good machine from a copy of the pre-advance state on its own
+    domain's scratch.  Inside a {!Workers.scoped} region (omission and
+    restoration each run in one) those domains, and so their scratch,
+    persist from one advance to the next.  Results (detection times,
+    states, counts) are bit-identical to the sequential schedule.  Its cross-validation oracle is a scalar
     single-fault simulator that lives with the tests, outside this
     representation.
 
@@ -229,8 +231,8 @@ val detects_single_view :
     [set_block_hook f] installs a callback invoked once per {!advance} per
     scheduled repack block with the block's canonical id, from whichever
     domain owns the block.  A hook that raises exercises the parallel
-    error path: the session joins every sibling domain before re-raising
-    the first error (session domain first, then spawn order).  Not for
-    production use — reset with [clear_block_hook]. *)
+    error path: every other share finishes before the first error is
+    re-raised (the session domain's share first, then worker order).
+    Not for production use — reset with [clear_block_hook]. *)
 val set_block_hook : (int -> unit) -> unit
 val clear_block_hook : unit -> unit

@@ -112,6 +112,164 @@ let prop_omission_jobs_invariant =
       && st1 = st3
       && spec_invariant spec3)
 
+(* -------------------------------------------------------------- Workers *)
+
+module Workers = Logicsim.Workers
+
+exception Share_failed of int
+
+(* The line of the [raise] below: a re-raised share error must still point
+   there, not at the re-raise. *)
+let boom_line = __LINE__ + 2
+let boom k =
+  raise (Share_failed k)
+
+let domain_id () = (Domain.self () :> int)
+
+let distinct ids = List.length (List.sort_uniq compare ids)
+
+let test_workers_error_order () =
+  Printexc.record_backtrace true;
+  let first_error ~jobs failing =
+    match
+      Workers.run ~jobs (fun w -> if List.mem w failing then boom w)
+    with
+    | () -> Alcotest.fail "share error swallowed"
+    | exception Share_failed k ->
+      let bt = Printexc.get_raw_backtrace () in
+      (match Printexc.backtrace_slots bt with
+       | Some slots when Array.length slots > 0 ->
+         (match Printexc.Slot.location slots.(0) with
+          | Some loc ->
+            Alcotest.(check int) "raised at the share's raise" boom_line
+              loc.Printexc.line_number
+          | None -> Alcotest.fail "backtrace slot without location")
+       | _ -> Alcotest.fail "backtrace lost");
+      k
+  in
+  Workers.scoped ~jobs:3 (fun () ->
+      Alcotest.(check int) "caller's share first" 0 (first_error ~jobs:3 [ 2; 0; 1 ]);
+      Alcotest.(check int) "then worker order" 1 (first_error ~jobs:3 [ 2; 1 ]);
+      Alcotest.(check int) "last worker" 2 (first_error ~jobs:3 [ 2 ]));
+  Alcotest.(check int) "without a scope" 1 (first_error ~jobs:3 [ 2; 1 ])
+
+let test_workers_usable_after_error () =
+  (* Every share runs even when another raises, and the same workers take
+     the next round. *)
+  Workers.scoped ~jobs:2 (fun () ->
+      let ran = Array.make 4 false in
+      (match
+         Workers.run ~jobs:4 (fun w ->
+             ran.(w) <- true;
+             if w = 1 then boom w)
+       with
+       | () -> Alcotest.fail "share error swallowed"
+       | exception Share_failed 1 -> ());
+      Alcotest.(check (array bool)) "every share ran" [| true; true; true; true |] ran;
+      let ids = ref [] in
+      let mu = Mutex.create () in
+      for _ = 1 to 20 do
+        let squares = Spec.map ~jobs:2 10 (fun k ->
+            Mutex.protect mu (fun () -> ids := domain_id () :: !ids);
+            k * k)
+        in
+        Alcotest.(check (array int)) "next round" (Array.init 10 (fun k -> k * k)) squares
+      done;
+      Alcotest.(check int) "same domains"
+        (min 2 (Domain.recommended_domain_count ())) (distinct !ids))
+
+let test_workers_nested () =
+  (* A run from inside a share (on the caller and on a worker) opens a
+     temporary scope instead of posting to its own busy one. *)
+  let expected = Array.init 9 Fun.id in
+  let nested () =
+    let got = Array.make 9 (-1) in
+    Workers.run ~jobs:3 (fun w ->
+        Workers.run ~jobs:3 (fun v -> got.((3 * w) + v) <- (3 * w) + v));
+    got
+  in
+  Alcotest.(check (array int)) "in a scope" expected (Workers.scoped ~jobs:3 nested);
+  Alcotest.(check (array int)) "without one" expected (nested ());
+  Alcotest.(check (array int)) "nested scoped" expected
+    (Workers.scoped ~jobs:2 (fun () ->
+         let got = Array.make 9 (-1) in
+         Workers.run ~jobs:2 (fun w ->
+             if w = 0 then
+               Workers.scoped ~jobs:3 (fun () ->
+                   Workers.run ~jobs:3 (fun v -> got.(v) <- v))
+             else
+               for v = 3 to 8 do got.(v) <- v done);
+         got))
+
+let test_workers_concurrent_scopes () =
+  (* Two domains, each holding its own scope at the same time, compact
+     exactly like a sequential run. *)
+  let setup = random_setup 21 160 in
+  let s1, t1, st1, _ = run_omission ~jobs:1 setup in
+  let run_in_scope () =
+    Workers.scoped ~jobs:2 (fun () ->
+        let s, t, st, _ = run_omission ~jobs:2 setup in
+        seq_to_string s, t.Target.det_times, st)
+  in
+  let a = Domain.spawn run_in_scope and b = Domain.spawn run_in_scope in
+  List.iter
+    (fun (s, det, st) ->
+      Alcotest.(check string) "sequence" (seq_to_string s1) s;
+      Alcotest.(check (array int)) "det times" t1.Target.det_times det;
+      Alcotest.(check bool) "stats" true (st = st1))
+    [ Domain.join a; Domain.join b ]
+
+let test_workers_reuse () =
+  (* 200 rounds inside one scope run on the same two domains instead of
+     spawning a fresh one per round. *)
+  let ids = ref [] in
+  let mu = Mutex.create () in
+  Workers.scoped ~jobs:2 (fun () ->
+      for _ = 1 to 200 do
+        ignore
+          (Spec.map ~jobs:2 2 (fun k ->
+               Mutex.protect mu (fun () -> ids := domain_id () :: !ids);
+               k))
+      done);
+  Alcotest.(check int) "distinct domains"
+    (min 2 (Domain.recommended_domain_count ())) (distinct !ids)
+
+let test_workers_cap () =
+  (* Width 16 runs on at most the recommended domain count, in a scope or
+     not, with the results of width 1. *)
+  let cap = Domain.recommended_domain_count () in
+  let check what run =
+    let ids = ref [] in
+    let mu = Mutex.create () in
+    let got =
+      run (fun k ->
+          Mutex.protect mu (fun () -> ids := domain_id () :: !ids);
+          k * 7)
+    in
+    Alcotest.(check (array int)) (what ^ ": results") (Array.init 40 (fun k -> k * 7)) got;
+    Alcotest.(check bool) (what ^ ": capped") true (distinct !ids <= cap)
+  in
+  check "no scope" (fun f -> Spec.map ~jobs:16 40 f);
+  check "scope" (fun f -> Workers.scoped ~jobs:16 (fun () -> Spec.map ~jobs:16 40 f));
+  check "shares" (fun f ->
+      let got = Array.make 40 0 in
+      Workers.scoped ~jobs:16 (fun () ->
+          Workers.run ~jobs:16 (fun w ->
+              let k = ref w in
+              while !k < 40 do
+                got.(!k) <- f !k;
+                k := !k + 16
+              done));
+      got);
+  let setup = random_setup 22 160 in
+  let s1, t1, st1, _ = run_omission ~jobs:1 setup in
+  let s16, t16, st16, _ =
+    Workers.scoped ~jobs:16 (fun () -> run_omission ~jobs:16 setup)
+  in
+  Alcotest.(check string) "omission sequence" (seq_to_string s1) (seq_to_string s16);
+  Alcotest.(check (array int)) "omission det times" t1.Target.det_times t16.Target.det_times;
+  Alcotest.(check bool) "omission stats" true (st1 = st16)
+
 (* ---------------------------------------------------------- restoration *)
 
 let run_restoration ?budget ~jobs (m, seq, targets) =
@@ -262,6 +420,19 @@ let () =
         [
           Alcotest.test_case "deterministic order" `Quick test_spec_map_order;
           Alcotest.test_case "error propagation" `Quick test_spec_map_error;
+        ] );
+      ( "workers",
+        [
+          Alcotest.test_case "error order and backtrace" `Quick
+            test_workers_error_order;
+          Alcotest.test_case "usable after a share raises" `Quick
+            test_workers_usable_after_error;
+          Alcotest.test_case "nested run" `Quick test_workers_nested;
+          Alcotest.test_case "concurrent scopes" `Quick
+            test_workers_concurrent_scopes;
+          Alcotest.test_case "200 rounds on two domains" `Quick
+            test_workers_reuse;
+          Alcotest.test_case "width capped at 16" `Quick test_workers_cap;
         ] );
       ( "omission",
         [
