@@ -461,7 +461,8 @@ jq -e '.counters | has("compaction.adaptive.arena_reuses")' \
   "$tmpdir/compact3.json" > /dev/null \
   || fail "arena-reuse telemetry missing at --compact-jobs 3"
 # Width 2 is the bench's compact_jobs; --jobs 2 adds the fault-simulation
-# fan-out of the target computation between restoration and omission.
+# fan-out of both target computations: the sequence's first targets and
+# the recomputation between restoration and omission.
 for jobs in "--compact-jobs 2" "--jobs 2 --compact-jobs 2"; do
   tag=$(echo "$jobs" | tr -d ' -')
   # shellcheck disable=SC2086
@@ -498,6 +499,21 @@ for f in empty narrow; do
       || fail "$cmd on $f.seq: exit $rc, not 2 naming $f.seq:1"
   done
 done
+
+echo "== diagnose smoke test =="
+# A detected fault, injected as the observed failing device, explains its
+# own response exactly.  Without candidates the ranking lists exactly the
+# faults the sequence detects, so its last line names one of them.
+dune exec bin/scanatpg.exe -- generate s27 -o "$tmpdir/diag.seq" > /dev/null \
+  || fail "generate s27 -o"
+dune exec bin/scanatpg.exe -- diagnose s27 "$tmpdir/diag.seq" --inject 0 \
+  --top 100000 > "$tmpdir/diag0.out" || fail "diagnose s27 --inject 0"
+k=$(sed -n 's/^ *[0-9]*\. fault \([0-9]*\):.*/\1/p' "$tmpdir/diag0.out" | tail -n 1)
+[ -n "$k" ] || fail "diagnose s27 ranked no candidate"
+dune exec bin/scanatpg.exe -- diagnose s27 "$tmpdir/diag.seq" --inject "$k" \
+  --top 100000 > "$tmpdir/diag.out" || fail "diagnose s27 --inject $k"
+grep -q "fault $k: matched [0-9]*, missed 0, extra 0  <- injected" \
+  "$tmpdir/diag.out" || fail "injected fault $k does not explain its response"
 
 echo "== serve-mode smoke test =="
 # Daemon on a temp socket; pipeline generate (twice, so the second is a

@@ -338,8 +338,8 @@ let compact_cmd =
         let nf = Faultmodel.Model.fault_count model in
         let targets =
           Obs.Metrics.timed metrics ~trace "target-compute" (fun () ->
-              Compaction.Target.compute model seq
-                ~fault_ids:(Array.init nf Fun.id))
+              Compaction.Target.compute ~jobs:cfg.Core.Config.sim_jobs model
+                seq ~fault_ids:(Array.init nf Fun.id))
         in
         Printf.printf "sequence detects %d/%d faults\n"
           (Compaction.Target.count targets) nf;

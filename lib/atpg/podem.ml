@@ -1,7 +1,7 @@
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Logic = Netlist.Logic
-module Levelize = Netlist.Levelize
+module Plan = Netlist.Plan
 module Model = Faultmodel.Model
 
 type outcome =
@@ -32,15 +32,12 @@ type stats = {
 
 let make_stats () = { calls = 0; decisions = 0; backtracks = 0 }
 
+(* Netlist arrays (evaluation order, levels, sources, flip-flop maps) are
+   read from the model's plan; [circuit] serves the structural walks. *)
 type engine = {
   circuit : Circuit.t;
-  order : int array;
-  level : int array;
+  plan : Plan.t;
   scoap : Netlist.Scoap.t;
-  inputs : int array;
-  outputs : int array;
-  dffs : int array;
-  dff_fanin : int array;
   depth : int;
   fault_node : int;
   stuck : Logic.t;
@@ -52,7 +49,6 @@ type engine = {
   gval : Logic.t array array;  (* depth x nodes *)
   fval : Logic.t array array;
   input_index : int array;  (* node id -> input position, -1 *)
-  dff_index : int array;  (* node id -> dff position, -1 *)
   mutable dirty : int;  (* lowest frame whose values are stale *)
 }
 
@@ -60,13 +56,14 @@ type engine = {
    last call (assignments only touch their own frame and propagate forward
    through the flip-flops), so only [dirty..depth-1] are re-evaluated. *)
 let simulate e =
+  let p = e.plan in
   for fr = e.dirty to e.depth - 1 do
     let g = e.gval.(fr) and f = e.fval.(fr) in
     Array.iteri
       (fun i id ->
         g.(id) <- e.asg_pi.(fr).(i);
         f.(id) <- e.asg_pi.(fr).(i))
-      e.inputs;
+      p.Plan.inputs;
     Array.iteri
       (fun k id ->
         if fr = 0 then
@@ -79,20 +76,18 @@ let simulate e =
             f.(id) <- e.faulty0.(k)
           end
         else begin
-          g.(id) <- e.gval.(fr - 1).(e.dff_fanin.(k));
-          f.(id) <- e.fval.(fr - 1).(e.dff_fanin.(k))
+          g.(id) <- e.gval.(fr - 1).(p.Plan.dff_fanin.(k));
+          f.(id) <- e.fval.(fr - 1).(p.Plan.dff_fanin.(k))
         end)
-      e.dffs;
+      p.Plan.dffs;
     f.(e.fault_node) <- e.stuck;
     (* If the fault sits on a source it was just forced; combinational nodes
        are forced right after their evaluation below. *)
     Array.iter
       (fun nd ->
-        g.(nd) <- Logicsim.Goodsim.eval_node e.circuit g nd;
-        f.(nd) <-
-          (if nd = e.fault_node then e.stuck
-           else Logicsim.Goodsim.eval_node e.circuit f nd))
-      e.order
+        g.(nd) <- Plan.eval p g nd;
+        f.(nd) <- (if nd = e.fault_node then e.stuck else Plan.eval p f nd))
+      p.Plan.order
   done;
   e.dirty <- e.depth
 
@@ -110,11 +105,12 @@ type success =
 let find_success e ~observe_ffs =
   let rec frames fr =
     if fr >= e.depth then None
-    else if Array.exists (fun po -> d_at e fr po) e.outputs then Some (At_po fr)
+    else if Array.exists (fun po -> d_at e fr po) e.plan.Plan.outputs then
+      Some (At_po fr)
     else if observe_ffs then begin
       let rec ffs k =
-        if k >= Array.length e.dff_fanin then frames (fr + 1)
-        else if d_at e fr e.dff_fanin.(k) then Some (At_ff (fr, k))
+        if k >= Array.length e.plan.Plan.dff_fanin then frames (fr + 1)
+        else if d_at e fr e.plan.Plan.dff_fanin.(k) then Some (At_ff (fr, k))
         else ffs (k + 1)
       in
       ffs 0
@@ -131,7 +127,7 @@ let analyze e =
   let cands = ref [] in
   for fr = 0 to e.depth - 1 do
     if d_at e fr e.fault_node then has_d := true;
-    Array.iter (fun ff -> if d_at e fr ff then has_d := true) e.dffs;
+    Array.iter (fun ff -> if d_at e fr ff then has_d := true) e.plan.Plan.dffs;
     Array.iter
       (fun nd ->
         if d_at e fr nd then has_d := true
@@ -140,7 +136,7 @@ let analyze e =
            || Logic.equal e.fval.(fr).(nd) Logic.X)
           && Array.exists (fun f -> d_at e fr f) (Circuit.node e.circuit nd).Circuit.fanins
         then cands := (fr, nd) :: !cands)
-      e.order
+      e.plan.Plan.order
   done;
   !has_d, !cands
 
@@ -232,8 +228,8 @@ let objectives e =
       List.sort
         (fun (fr1, n1) (fr2, n2) ->
           compare
-            (e.scoap.Netlist.Scoap.co.(n1), e.level.(n2), fr2)
-            (e.scoap.Netlist.Scoap.co.(n2), e.level.(n1), fr1))
+            (e.scoap.Netlist.Scoap.co.(n1), e.plan.Plan.level.(n2), fr2)
+            (e.scoap.Netlist.Scoap.co.(n2), e.plan.Plan.level.(n1), fr1))
         cands
     in
     List.filter_map (fun (fr, nd) -> gate_objective e fr nd) scored
@@ -251,7 +247,8 @@ let objectives e =
    memoized per (frame, node, value), bounding the search linearly in the
    unrolled circuit. *)
 let backtrace e (fr0, nd0, v0) =
-  let ninputs = Array.length e.inputs in
+  let ninputs = Array.length e.plan.Plan.inputs in
+  let dff_index = e.plan.Plan.dff_index in
   let failed = Hashtbl.create 64 in
   let rec go fr nd v =
     if not (Logic.equal e.gval.(fr).(nd) Logic.X) then None
@@ -277,8 +274,8 @@ let backtrace e (fr0, nd0, v0) =
     match node.Circuit.kind with
     | Gate.Input -> Some (fr, e.input_index.(nd), v)
     | Gate.Dff ->
-      if fr > 0 then go (fr - 1) e.dff_fanin.(e.dff_index.(nd)) v
-      else if e.free_state then Some (0, ninputs + e.dff_index.(nd), v)
+      if fr > 0 then go (fr - 1) e.plan.Plan.dff_fanin.(dff_index.(nd)) v
+      else if e.free_state then Some (0, ninputs + dff_index.(nd), v)
       else None
     | Gate.Buf -> go fr fanins.(0) v
     | Gate.Not -> go fr fanins.(0) (Logic.bnot v)
@@ -351,21 +348,18 @@ let backtrace e (fr0, nd0, v0) =
   go fr0 nd0 v0
 
 let set_var e fr var v =
-  let ninputs = Array.length e.inputs in
+  let ninputs = Array.length e.plan.Plan.inputs in
   if var < ninputs then e.asg_pi.(fr).(var) <- v else e.asg_ppi.(var - ninputs) <- v;
   if fr < e.dirty then e.dirty <- fr
 
 let run model ~fault ~depth ~start ~backtrack_limit ?(fixed_inputs = [])
     ?(observe_ffs = false) ?stats ?(budget = Obs.Budget.unlimited) () =
-  let c = model.Model.circuit in
-  let nodes = Circuit.node_count c in
-  let inputs = Circuit.inputs c in
-  let dffs = Circuit.dffs c in
-  let ninputs = Array.length inputs and nff = Array.length dffs in
+  let plan = model.Model.plan in
+  let nodes = plan.Plan.nodes in
+  let ninputs = Array.length plan.Plan.inputs
+  and nff = Array.length plan.Plan.dffs in
   let input_index = Array.make nodes (-1) in
-  Array.iteri (fun i id -> input_index.(id) <- i) inputs;
-  let dff_index = Array.make nodes (-1) in
-  Array.iteri (fun k id -> dff_index.(id) <- k) dffs;
+  Array.iteri (fun i id -> input_index.(id) <- i) plan.Plan.inputs;
   let free_state, good0, faulty0 =
     match start with
     | Free_state -> true, Array.make nff Logic.X, Array.make nff Logic.X
@@ -373,14 +367,9 @@ let run model ~fault ~depth ~start ~backtrack_limit ?(fixed_inputs = [])
   in
   let e =
     {
-      circuit = c;
-      order = model.Model.levelize.Levelize.order;
-      level = model.Model.levelize.Levelize.level;
+      circuit = model.Model.circuit;
+      plan;
       scoap = model.Model.scoap;
-      inputs;
-      outputs = Circuit.outputs c;
-      dffs;
-      dff_fanin = Array.map (fun ff -> (Circuit.node c ff).Circuit.fanins.(0)) dffs;
       depth;
       fault_node = model.Model.fault_node.(fault);
       stuck = Logic.of_bool model.Model.fault_stuck.(fault);
@@ -392,7 +381,6 @@ let run model ~fault ~depth ~start ~backtrack_limit ?(fixed_inputs = [])
       gval = Array.init depth (fun _ -> Array.make nodes Logic.X);
       fval = Array.init depth (fun _ -> Array.make nodes Logic.X);
       input_index;
-      dff_index;
       dirty = 0;
     }
   in

@@ -1,4 +1,3 @@
-module Circuit = Netlist.Circuit
 module Logic = Netlist.Logic
 module Model = Faultmodel.Model
 
@@ -9,47 +8,14 @@ type candidate = {
   extra : int;
 }
 
-(* Scalar simulation of one machine, optionally with a forced node. *)
 let response model ?fault seq =
-  let c = model.Model.circuit in
   let force =
-    match fault with
-    | None -> None
-    | Some fid ->
-      Some
-        ( model.Model.fault_node.(fid),
-          Logic.of_bool model.Model.fault_stuck.(fid) )
+    Option.map
+      (fun fid ->
+        model.Model.fault_node.(fid), Logic.of_bool model.Model.fault_stuck.(fid))
+      fault
   in
-  let lv = model.Model.levelize in
-  let values = Array.make (Circuit.node_count c) Logic.X in
-  let dffs = Circuit.dffs c in
-  let dff_fanin = Array.map (fun ff -> (Circuit.node c ff).Circuit.fanins.(0)) dffs in
-  let state = Array.make (Array.length dffs) Logic.X in
-  let apply_force n =
-    match force with
-    | Some (fn, fv) when fn = n -> values.(n) <- fv
-    | Some _ | None -> ()
-  in
-  Array.map
-    (fun vec ->
-      Array.iteri
-        (fun i id ->
-          values.(id) <- vec.(i);
-          apply_force id)
-        (Circuit.inputs c);
-      Array.iteri
-        (fun k id ->
-          values.(id) <- state.(k);
-          apply_force id)
-        dffs;
-      Array.iter
-        (fun nd ->
-          values.(nd) <- Logicsim.Goodsim.eval_node c values nd;
-          apply_force nd)
-        lv.Netlist.Levelize.order;
-      Array.iteri (fun k d -> state.(k) <- values.(d)) dff_fanin;
-      Array.map (fun o -> values.(o)) (Circuit.outputs c))
-    seq
+  Logicsim.Goodsim.run (Logicsim.Goodsim.of_plan ?force model.Model.plan) seq
 
 let failing_positions ~expected ~observed =
   let acc = ref [] in

@@ -1,32 +1,22 @@
-module Circuit = Netlist.Circuit
-module Gate = Netlist.Gate
 module Logic = Netlist.Logic
-module Levelize = Netlist.Levelize
+module Plan = Netlist.Plan
 
 type t = {
-  circuit : Circuit.t;
-  order : int array;
-  inputs : int array;
-  outputs : int array;
-  dffs : int array;
-  dff_fanin : int array;
+  plan : Plan.t;
+  force : (int * Logic.t) option;
   values : Logic.t array;
   state : Logic.t array;
 }
 
-let create c =
-  let lv = Levelize.of_circuit c in
-  let dffs = Circuit.dffs c in
+let of_plan ?force (plan : Plan.t) =
   {
-    circuit = c;
-    order = lv.Levelize.order;
-    inputs = Circuit.inputs c;
-    outputs = Circuit.outputs c;
-    dffs;
-    dff_fanin = Array.map (fun ff -> (Circuit.node c ff).Circuit.fanins.(0)) dffs;
-    values = Array.make (Circuit.node_count c) Logic.X;
-    state = Array.make (Array.length dffs) Logic.X;
+    plan;
+    force;
+    values = Array.make plan.Plan.nodes Logic.X;
+    state = Array.make (Array.length plan.Plan.dffs) Logic.X;
   }
+
+let create c = of_plan (Plan.compile c (Netlist.Levelize.of_circuit c))
 
 let reset t =
   Array.fill t.state 0 (Array.length t.state) Logic.X;
@@ -39,60 +29,27 @@ let set_state t s =
 
 let state t = Array.copy t.state
 
-let eval_node c values id =
-  let nd = Circuit.node c id in
-  let f = nd.Circuit.fanins in
-  match nd.Circuit.kind with
-  | Gate.Buf -> values.(f.(0))
-  | Gate.Not -> Logic.bnot values.(f.(0))
-  | Gate.And ->
-    let acc = ref values.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      acc := Logic.band !acc values.(f.(i))
-    done;
-    !acc
-  | Gate.Nand ->
-    let acc = ref values.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      acc := Logic.band !acc values.(f.(i))
-    done;
-    Logic.bnot !acc
-  | Gate.Or ->
-    let acc = ref values.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      acc := Logic.bor !acc values.(f.(i))
-    done;
-    !acc
-  | Gate.Nor ->
-    let acc = ref values.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      acc := Logic.bor !acc values.(f.(i))
-    done;
-    Logic.bnot !acc
-  | Gate.Xor ->
-    let acc = ref values.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      acc := Logic.bxor !acc values.(f.(i))
-    done;
-    !acc
-  | Gate.Xnor ->
-    let acc = ref values.(f.(0)) in
-    for i = 1 to Array.length f - 1 do
-      acc := Logic.bxor !acc values.(f.(i))
-    done;
-    Logic.bnot !acc
-  | Gate.Mux -> Logic.mux values.(f.(0)) values.(f.(1)) values.(f.(2))
-  | Gate.Input | Gate.Dff -> invalid_arg "Goodsim.eval_node: source node"
-
 let step t vec =
-  if Array.length vec <> Array.length t.inputs then
+  let p = t.plan and values = t.values in
+  if Array.length vec <> Array.length p.Plan.inputs then
     invalid_arg "Goodsim.step: vector length mismatch";
-  Array.iteri (fun i id -> t.values.(id) <- vec.(i)) t.inputs;
-  Array.iteri (fun k id -> t.values.(id) <- t.state.(k)) t.dffs;
-  Array.iter (fun id -> t.values.(id) <- eval_node t.circuit t.values id) t.order;
-  Array.iteri (fun k d -> t.state.(k) <- t.values.(d)) t.dff_fanin
+  Array.iteri (fun i id -> values.(id) <- vec.(i)) p.Plan.inputs;
+  Array.iteri (fun k id -> values.(id) <- t.state.(k)) p.Plan.dffs;
+  (* A forced node holds its value all frame: a source is overwritten
+     here, a gate is never evaluated. *)
+  let forced =
+    match t.force with
+    | Some (n, v) ->
+      values.(n) <- v;
+      n
+    | None -> -1
+  in
+  Array.iter
+    (fun id -> if id <> forced then values.(id) <- Plan.eval p values id)
+    p.Plan.order;
+  Array.iteri (fun k d -> t.state.(k) <- values.(d)) p.Plan.dff_fanin
 
-let po_values t = Array.map (fun o -> t.values.(o)) t.outputs
+let po_values t = Array.map (fun o -> t.values.(o)) t.plan.Plan.outputs
 let value t id = t.values.(id)
 
 let run t seq =

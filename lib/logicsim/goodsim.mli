@@ -4,11 +4,19 @@
     running flip-flop state (initially all [X], matching an unreset
     power-up); each {!step} applies one input vector, evaluates the
     combinational logic, exposes the frame's primary-output and node values,
-    and latches the next state. *)
+    and latches the next state.  Gates are evaluated by {!Netlist.Plan.eval}
+    over a compiled plan, the same opcodes the fault simulator and PODEM
+    read. *)
 
 type t
 
-(** A simulator at the all-[X] power-up state. *)
+(** [of_plan ?force plan] is a simulator over [plan] (typically a model's
+    [plan]) at the all-[X] power-up state.  With [force = (n, v)] node [n]
+    holds [v] in every frame, whatever drives it: the faulty machine of a
+    stuck-at fault on [n]'s output. *)
+val of_plan : ?force:int * Netlist.Logic.t -> Netlist.Plan.t -> t
+
+(** [create c] is [of_plan] over a plan compiled from [c]. *)
 val create : Netlist.Circuit.t -> t
 
 (** Back to the all-[X] power-up state. *)
@@ -35,8 +43,3 @@ val value : t -> int -> Netlist.Logic.t
     matrix.  The state carries over from the current state; call {!reset}
     first for a fresh run. *)
 val run : t -> Vectors.t -> Netlist.Logic.t array array
-
-(** [eval_node c values id] evaluates combinational gate [id] over the node
-    values in [values] — shared with the ATPG implication engine.
-    @raise Invalid_argument on [Input] or [Dff] nodes. *)
-val eval_node : Netlist.Circuit.t -> Netlist.Logic.t array -> int -> Netlist.Logic.t

@@ -96,3 +96,35 @@ let compile c (lv : Levelize.t) =
     dff_feed;
     dff_index;
   }
+
+(* Scalar three-valued evaluation of one gate.  The n-ary folds are
+   written out per function so the loop makes no indirect call. *)
+let eval p values id =
+  let fanin = p.fanin in
+  let lo = p.fanin_off.(id) and hi = p.fanin_off.(id + 1) in
+  let op = p.op.(id) in
+  let v =
+    match op lsr 1 with
+    | 0 ->
+      let acc = ref values.(fanin.(lo)) in
+      for i = lo + 1 to hi - 1 do
+        acc := Logic.band !acc values.(fanin.(i))
+      done;
+      !acc
+    | 1 ->
+      let acc = ref values.(fanin.(lo)) in
+      for i = lo + 1 to hi - 1 do
+        acc := Logic.bor !acc values.(fanin.(i))
+      done;
+      !acc
+    | 2 ->
+      let acc = ref values.(fanin.(lo)) in
+      for i = lo + 1 to hi - 1 do
+        acc := Logic.bxor !acc values.(fanin.(i))
+      done;
+      !acc
+    | 3 ->
+      Logic.mux values.(fanin.(lo)) values.(fanin.(lo + 1)) values.(fanin.(lo + 2))
+    | _ -> invalid_arg "Plan.eval: source node"
+  in
+  if op land 1 = 0 then v else Logic.bnot v

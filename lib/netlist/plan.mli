@@ -1,12 +1,13 @@
 (** Flat simulation plan of a circuit.
 
-    The compiled form every fault-simulation session reads: gates as int
-    opcodes with the output inversion folded in, fanins and
-    combinational fanouts as CSR arrays, and the flip-flop maps the
-    latch step needs.  Built once per elaborated circuit (by
+    The one compiled form every simulator reads — packed fault
+    simulation, good-machine simulation, PODEM's implication and
+    diagnosis: gates as int opcodes with the output inversion folded in,
+    fanins and combinational fanouts as CSR arrays, and the flip-flop
+    maps the latch step needs.  Built once per elaborated circuit (by
     [Faultmodel.Model.build]) and shared read-only by every session and
     domain; [order] and [level] are the {!Levelize.t}'s own arrays, not
-    copies. *)
+    copies.  {!eval} is the scalar three-valued reading of the opcodes. *)
 
 (** {1 Opcodes}
 
@@ -46,3 +47,8 @@ type t = private {
 
 (** [compile c lv] builds the plan; [lv] must be [c]'s levelization. *)
 val compile : Circuit.t -> Levelize.t -> t
+
+(** [eval p values id] evaluates combinational node [id] over the
+    three-valued node values in [values], by its opcode and CSR fanins.
+    @raise Invalid_argument on [Input] and [Dff] nodes. *)
+val eval : t -> Logic.t array -> int -> Logic.t

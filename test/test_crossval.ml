@@ -1,11 +1,17 @@
 (* Cross-validation properties over randomly generated circuits.
 
    Independent implementations are checked against each other on inputs
-   neither was tuned for: the scalar reference evaluator vs the levelized
-   simulator, the packed fault simulator vs scalar single-fault runs and vs
-   its own single-fault sessions, scan-mode equivalence, and —
-   semantically — fault collapsing: two faults in one equivalence class
-   must produce identical machines. *)
+   neither was tuned for.  Every simulator in the library (packed fault
+   simulation, good simulation, PODEM's implication, diagnosis) evaluates
+   gates through [Netlist.Plan.eval]; the reference machine here
+   evaluates them through [Netlist.Gate.eval] over the circuit's own
+   nodes, sharing no code with the plan.  Checked: the plan evaluator
+   gate by gate against [Gate.eval] on every catalog circuit, the
+   levelized and diagnosis simulators against the reference, the packed
+   fault simulator vs scalar single-fault runs and vs its own
+   single-fault sessions, scan-mode equivalence, and — semantically —
+   fault collapsing: two faults in one equivalence class must produce
+   identical machines. *)
 
 module C = Netlist.Circuit
 module G = Netlist.Gate
@@ -19,8 +25,9 @@ let gen_circuit seed =
     ~seed:(Int64.of_int seed) ()
 
 (* Scalar simulation with an optional forced node: the reference machine
-   for everything below.  Starts from [init] (default all-X) and returns
-   the output matrix and the final flip-flop state. *)
+   for everything below, evaluating each gate with [Gate.eval].  Starts
+   from [init] (default all-X) and returns the output matrix and the
+   final flip-flop state. *)
 let forced_response ?force ?init c seq =
   let lv = Netlist.Levelize.of_circuit c in
   let values = Array.make (C.node_count c) L.X in
@@ -51,7 +58,9 @@ let forced_response ?force ?init c seq =
           dffs;
         Array.iter
           (fun nd ->
-            values.(nd) <- Logicsim.Goodsim.eval_node c values nd;
+            let node = C.node c nd in
+            values.(nd) <-
+              G.eval node.C.kind (Array.map (fun f -> values.(f)) node.C.fanins);
             apply nd)
           lv.Netlist.Levelize.order;
         Array.iteri (fun k d -> state.(k) <- values.(d)) dff_fanin;
@@ -157,9 +166,10 @@ let prop_event_equals_scalar =
      shares neither the 62-way packing nor the injection tables: identical
      first detection frames for every fault, and identical surviving
      machine state (flip-flop values and strict effects) for every
-     undetected fault.  The sequence ends in a scan-shift suffix and the
-     session advances in two chunks, covering continuation and mid-run
-     repacking. *)
+     undetected fault.  Diagnosis's forced good-machine simulation must
+     reproduce the oracle's good and faulty output matrices.  The sequence
+     ends in a scan-shift suffix and the session advances in two chunks,
+     covering continuation and mid-run repacking. *)
   QCheck2.Test.make ~name:"faultsim = scalar oracle (random circuits)"
     ~count:10
     QCheck2.Gen.(int_range 0 100_000)
@@ -178,10 +188,13 @@ let prop_event_equals_scalar =
       FS.advance event (Array.sub seq 0 17);
       FS.advance event (Array.sub seq 17 23);
       let good, good_state = forced_response m.Model.circuit seq in
-      Array.for_all
+      same_matrix (Core.Diagnose.response m seq) good
+      && Array.for_all
         (fun fid ->
           let faulty, state = fault_response m fid seq in
           let expected = first_detection good faulty in
+          same_matrix (Core.Diagnose.response m ~fault:fid seq) faulty
+          &&
           match FS.detection_time event fid with
           | Some t -> t = expected
           | None ->
@@ -511,6 +524,45 @@ let test_s27_snapshot () =
   Alcotest.(check bool) "captures cover detected faults" true detected;
   Alcotest.(check bool) "probe states match the source" true ok
 
+(* ------------------------------------------------------ gate semantics *)
+
+(* [Plan.eval] against [Gate.eval] on every combinational node of every
+   catalog circuit's scan-inserted, elaborated model, scan multiplexers
+   and branch buffers included, over random 0/1/X fanin values.  Sources
+   have no gate function and must raise. *)
+let test_plan_eval_matches_gate_eval () =
+  let rng = Prng.Rng.create 29L in
+  let draw () =
+    match Prng.Rng.int rng 3 with
+    | 0 -> L.Zero
+    | 1 -> L.One
+    | _ -> L.X
+  in
+  List.iter
+    (fun name ->
+      let m = scan_model (Circuits.Catalog.circuit name) in
+      let plan = m.Model.plan in
+      let values = Array.make plan.Netlist.Plan.nodes L.X in
+      Array.iter
+        (fun node ->
+          let id = node.C.id in
+          match node.C.kind with
+          | G.Input | G.Dff ->
+            (match Netlist.Plan.eval plan values id with
+             | _ -> Alcotest.failf "%s: source %s evaluated" name node.C.name
+             | exception Invalid_argument _ -> ())
+          | kind ->
+            for _ = 1 to 8 do
+              Array.iter (fun f -> values.(f) <- draw ()) node.C.fanins;
+              let want =
+                G.eval kind (Array.map (fun f -> values.(f)) node.C.fanins)
+              in
+              if not (L.equal want (Netlist.Plan.eval plan values id)) then
+                Alcotest.failf "%s: %s %s" name (G.to_string kind) node.C.name
+            done)
+        (C.nodes m.Model.circuit))
+    Circuits.Catalog.names
+
 (* ---------------------------------------------------- scratch reuse *)
 
 exception Poison
@@ -588,7 +640,9 @@ let () =
           q prop_parallel_equals_serial; q prop_event_equals_scalar;
           q prop_jobs_deterministic ] );
       ( "oracle",
-        [ Alcotest.test_case "s27 detection certificate" `Quick
+        [ Alcotest.test_case "plan eval = Gate.eval on the catalog" `Quick
+            test_plan_eval_matches_gate_eval;
+          Alcotest.test_case "s27 detection certificate" `Quick
             test_s27_certificate;
           Alcotest.test_case "s27 good state" `Quick test_s27_good_state;
           Alcotest.test_case "s27 snapshot transfer" `Quick test_s27_snapshot;
